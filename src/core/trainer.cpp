@@ -261,8 +261,11 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
       sa_cfg.frac_bits = secagg_frac_bits(cfg_.precision.wire);
       secagg::SecureAggregator agg(members, run.params.size(), sa_cfg,
                                    secagg_rng);
+      // Survivors mask concurrently, like they trained: the session is
+      // read-only and each task writes only its own locals[m] and slots[m].
       std::vector<std::optional<std::vector<secagg::Fe>>> slots(members);
-      for (auto m : survivors) {
+      pool_->parallel_for(survivors.size(), [&](std::size_t s) {
+        const std::size_t m = survivors[s];
         const float w = static_cast<float>(
             static_cast<double>(topo_.clients.data_count(group.clients[m])) /
             surviving_data);
@@ -277,11 +280,12 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
           for (auto& v : scaled) v *= w;
           slots[m] = agg.client_masked_input(m, scaled);
         }
-      }
+      });
       try {
         run.params = agg.aggregate(slots);
-      } catch (const std::runtime_error&) {
-        // Below threshold: aggregation aborts, model carries over.
+      } catch (const secagg::QuorumNotMet&) {
+        // Below threshold: aggregation aborts, model carries over. Any
+        // other failure propagates.
       }
     } else if (cfg_.parallel_aggregation) {
       // Fixed-shape reduction straight out of the members' buffers into

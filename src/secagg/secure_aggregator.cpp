@@ -1,10 +1,18 @@
 #include "secagg/secure_aggregator.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "util/check.hpp"
 
 namespace groupfel::secagg {
+
+QuorumNotMet::QuorumNotMet(std::size_t survivors, std::size_t threshold)
+    : std::runtime_error("secagg: " + std::to_string(survivors) +
+                         " survivors is below the Shamir threshold of " +
+                         std::to_string(threshold)),
+      survivors_(survivors),
+      threshold_(threshold) {}
 
 SecureAggregator::SecureAggregator(std::size_t num_clients,
                                    std::size_t vector_size, SecAggConfig config,
@@ -31,15 +39,13 @@ SecureAggregator::SecureAggregator(std::size_t num_clients,
   shares_of_self_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
     auto share_rng = rng.fork(0x73686172ull /*"shar"*/ + i);
-    // A 61-bit private key fits one field element; the self seed is 64-bit
-    // so it is split into two 32-bit halves packed into one element each.
+    // A 61-bit private key fits one field element.
     shares_of_priv_[i] = shamir_share(Fe(dh_[i].private_key), n_, t_, share_rng);
-    // Self seed: share low and high halves as two polynomials; we pack them
-    // as one share vector of 2n by concatenation? Keep it simple: share the
-    // 61 low bits and fold the top 3 bits into the nonce domain instead.
+    // Only the low 61 bits of the self seed are shared, and only those bits
+    // key the self mask: the stored seed is truncated to match, so the
+    // server's reconstruction expands the same stream.
     shares_of_self_[i] =
         shamir_share(Fe(self_seed_[i] & kFieldPrime), n_, t_, share_rng);
-    // Mask the stored seed to the shared 61 bits so reconstruction matches.
     self_seed_[i] &= kFieldPrime;
   }
 }
@@ -69,8 +75,7 @@ std::vector<Fe> SecureAggregator::client_masked_input(
   for (std::size_t k = 0; k < dim_; ++k) y[k] = codec_.encode(x[k]);
 
   // Self mask.
-  ChaChaPrg self_prg(self_seed_[i], self_nonce(i));
-  for (std::size_t k = 0; k < dim_; ++k) y[k] += self_prg.next_fe();
+  ChaChaPrg(self_seed_[i], self_nonce(i)).add_to(y);
 
   // Pairwise masks: + for j > i, - for j < i, so they cancel in the sum.
   for (std::size_t j = 0; j < n_; ++j) {
@@ -78,9 +83,9 @@ std::vector<Fe> SecureAggregator::client_masked_input(
     const std::size_t lo = std::min(i, j), hi = std::max(i, j);
     ChaChaPrg pair_prg(pair_seed(i, j), pair_nonce(lo, hi));
     if (j > i) {
-      for (std::size_t k = 0; k < dim_; ++k) y[k] += pair_prg.next_fe();
+      pair_prg.add_to(y);
     } else {
-      for (std::size_t k = 0; k < dim_; ++k) y[k] -= pair_prg.next_fe();
+      pair_prg.sub_from(y);
     }
   }
   return y;
@@ -94,8 +99,7 @@ std::vector<float> SecureAggregator::aggregate(
   std::vector<std::size_t> survivors, dropped;
   for (std::size_t i = 0; i < n_; ++i)
     (survivor_inputs[i] ? survivors : dropped).push_back(i);
-  if (survivors.size() < t_)
-    throw std::runtime_error("aggregate: fewer survivors than threshold");
+  if (survivors.size() < t_) throw QuorumNotMet(survivors.size(), t_);
 
   std::vector<Fe> sum(dim_);
   for (auto i : survivors) {
@@ -112,8 +116,7 @@ std::vector<float> SecureAggregator::aggregate(
     for (std::size_t s = 0; s < t_; ++s)
       shares.push_back(shares_of_self_[i][survivors[s]]);
     const Fe seed = shamir_reconstruct(shares);
-    ChaChaPrg self_prg(seed.value(), self_nonce(i));
-    for (std::size_t k = 0; k < dim_; ++k) sum[k] -= self_prg.next_fe();
+    ChaChaPrg(seed.value(), self_nonce(i)).sub_from(sum);
   }
 
   // Remove dropped clients' pairwise masks. Reconstructing a_j lets the
@@ -130,9 +133,9 @@ std::vector<float> SecureAggregator::aggregate(
       ChaChaPrg pair_prg(seed, pair_nonce(lo, hi));
       // Survivor i added sign(i relative to j): + if j > i else -.
       if (j > i) {
-        for (std::size_t k = 0; k < dim_; ++k) sum[k] -= pair_prg.next_fe();
+        pair_prg.sub_from(sum);
       } else {
-        for (std::size_t k = 0; k < dim_; ++k) sum[k] += pair_prg.next_fe();
+        pair_prg.add_to(sum);
       }
     }
   }

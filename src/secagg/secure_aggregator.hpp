@@ -18,9 +18,11 @@
 // per group — exactly the quadratic O_g(|g|) the cost model calibrates.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "runtime/rng.hpp"
@@ -38,6 +40,21 @@ struct SecAggConfig {
   /// Domain separator mixed into every PRG nonce (e.g. global round id) so
   /// masks never repeat across rounds.
   std::uint64_t round_tag = 0;
+};
+
+/// The protocol's abort: fewer clients survived to round 3 than the Shamir
+/// threshold, so the masks cannot be removed and the session yields nothing.
+/// Callers that model "the group model carries over" catch exactly this.
+class QuorumNotMet : public std::runtime_error {
+ public:
+  QuorumNotMet(std::size_t survivors, std::size_t threshold);
+
+  [[nodiscard]] std::size_t survivors() const noexcept { return survivors_; }
+  [[nodiscard]] std::size_t threshold() const noexcept { return threshold_; }
+
+ private:
+  std::size_t survivors_;
+  std::size_t threshold_;
 };
 
 /// One aggregation session for a fixed group of `n` clients.
@@ -58,7 +75,7 @@ class SecureAggregator {
   /// Round 3 (server side): aggregates the masked inputs of `survivors`
   /// (client id -> masked vector). Clients absent from the map are treated
   /// as dropped; their pairwise masks are reconstructed from Shamir shares.
-  /// Throws std::runtime_error if fewer than `threshold` clients survive.
+  /// Throws QuorumNotMet if fewer than `threshold` clients survive.
   [[nodiscard]] std::vector<float> aggregate(
       const std::vector<std::optional<std::vector<Fe>>>& survivor_inputs) const;
 

@@ -112,7 +112,13 @@ TEST(SecAgg, TooManyDropoutsThrow) {
   EXPECT_EQ(agg.threshold(), 4u);  // ceil(2n/3) for n = 6
   const auto inputs = random_inputs(6, 8, rng);
   const std::set<std::size_t> dropped{0, 1, 2};  // 3 survivors < threshold
-  EXPECT_THROW((void)agg.run(inputs, dropped), std::runtime_error);
+  EXPECT_THROW((void)agg.run(inputs, dropped), QuorumNotMet);
+  try {
+    (void)agg.run(inputs, dropped);
+  } catch (const QuorumNotMet& e) {
+    EXPECT_EQ(e.survivors(), 3u);
+    EXPECT_EQ(e.threshold(), 4u);
+  }
 }
 
 TEST(SecAgg, CustomThresholdAllowsMoreDropouts) {

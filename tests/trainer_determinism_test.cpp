@@ -133,6 +133,37 @@ TEST(TrainerDeterminism, SecAggInPlaceScalingAgrees) {
   expect_identical(run_with_pool(exp, legacy, 0), run_with_pool(exp, cfg, 2));
 }
 
+TEST(TrainerDeterminism, SecAggDropoutParallelMaskingBitIdentical) {
+  // Groups larger than the largest pool, so the survivors' masking really
+  // splits across workers (and nests inside the group-level loop); dropout
+  // makes the server remove dropped members' pairwise masks as well.
+  ExperimentSpec spec = tiny_spec();
+  spec.num_clients = 60;
+  spec.num_edges = 1;
+  const Experiment exp = build_experiment(spec);
+  GroupFelConfig cfg = tiny_cfg();
+  cfg.global_rounds = 2;
+  cfg.sampled_groups = 2;
+  cfg.use_real_secagg = true;
+  cfg.client_dropout_rate = 0.3;
+  cfg.grouping = grouping::GroupingMethod::kRandom;
+  cfg.grouping_params.min_group_size = 26;
+  {
+    runtime::ThreadPool pool(0);
+    const GroupFelTrainer probe(exp.topology, cfg, tiny_cost(), &pool);
+    ASSERT_FALSE(probe.groups().empty());
+    for (const auto& g : probe.groups()) ASSERT_GT(g.clients.size(), 24u);
+  }
+  const TrainResult serial = run_with_pool(exp, cfg, 0);
+  // Some group round met quorum and aggregated (and, at 30% dropout over
+  // 25+ members, had dropped members to unmask).
+  bool aggregated = false;
+  for (const auto& h : serial.history) aggregated |= h.train_loss > 0.0;
+  EXPECT_TRUE(aggregated);
+  expect_identical(serial, run_with_pool(exp, cfg, 2));
+  expect_identical(serial, run_with_pool(exp, cfg, 24));
+}
+
 TEST(TrainerDeterminism, SteadyStateAddsNoModelConstructions) {
   const Experiment exp = build_experiment(tiny_spec());
   const GroupFelConfig cfg = tiny_cfg();
