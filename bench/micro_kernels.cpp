@@ -371,6 +371,11 @@ int main(int argc, char** argv) {
   // cout 8) and CNN5 layer 2 (post-pool 8×16×8, cout 16).
   reports.push_back(bench_gemm("gemm_resnet3_l1", 0, 8, 27, 32 * 16 * 16, 21));
   reports.push_back(bench_gemm("gemm_cnn5_l2", 0, 16, 72, 32 * 16 * 8, 21));
+  // CNN5 backward GEMMs at train batch 16 (3×16×16 input): conv1's weight
+  // gradient dY·colsᵀ (the im2col matrix read transposed) and conv2's input
+  // gradient Wᵀ·dY.
+  reports.push_back(bench_gemm("gemm_cnn5_l1_dw", 1, 8, 16 * 16 * 16, 27, 21));
+  reports.push_back(bench_gemm("gemm_cnn5_l2_dx", 2, 72, 16, 16 * 8 * 8, 21));
 
   // Conv2d vs reference oracle.
   {

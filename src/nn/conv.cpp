@@ -47,12 +47,21 @@ const Tensor& Conv2d::forward(const Tensor& input, bool train) {
   Tensor& out = out_buf_;
 
   // Lower to GEMM: out_mat[Cout, N·Ho·Wo] = W[Cout, Cin·k·k] · im2col(x).
+  // A training forward keeps the im2col matrix for backward's dW; an eval
+  // forward unfolds into arena scratch so it leaves that matrix intact.
   auto& arena = runtime::WorkspaceArena::local();
-  auto cols = arena.acquire(kdim * ncols);
-  detail::im2col(input.raw(), n, cin_, h, w, k_, pad_, cols.data());
+  runtime::WorkspaceArena::Buffer eval_cols;
+  if (train) {
+    cols_.resize(kdim * ncols);
+    cached_shape_ = input.shape();
+  } else {
+    eval_cols = arena.acquire(kdim * ncols);
+  }
+  float* cols = train ? cols_.data() : eval_cols.data();
+  detail::im2col(input.raw(), n, cin_, h, w, k_, pad_, cols);
   auto out_mat = arena.acquire(cout_ * ncols);
-  detail::gemm(cout_, ncols, kdim, {weight_.raw(), kdim, 1},
-               {cols.data(), ncols, 1}, out_mat.data(), sp_);
+  detail::gemm(cout_, ncols, kdim, {weight_.raw(), kdim, 1}, {cols, ncols, 1},
+               out_mat.data(), sp_);
 
   // out_mat is [Cout][n·how] but the tensor is [n][Cout][how]: swap the two
   // outer dims while adding the bias (contiguous `how`-long spans).
@@ -65,19 +74,27 @@ const Tensor& Conv2d::forward(const Tensor& input, bool train) {
       for (std::size_t i = 0; i < how; ++i) dst[i] = s[i] + b;
     }
   }
-  if (train) cached_input_ = input;
   return out;
 }
 
 const Tensor& Conv2d::backward(const Tensor& grad_out) {
-  GF_CHECK(cached_input_.size() != 0,
+  backward_impl(grad_out, /*input_grad=*/true);
+  return grad_in_;
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  backward_impl(grad_out, /*input_grad=*/false);
+}
+
+void Conv2d::backward_impl(const Tensor& grad_out, bool input_grad) {
+  GF_CHECK(!cached_shape_.empty(),
            "Conv2d::backward without forward(train=true)");
-  const Tensor& x = cached_input_;
-  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const std::size_t n = cached_shape_[0], h = cached_shape_[2],
+                    w = cached_shape_[3];
   GF_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == n &&
                grad_out.dim(1) == cout_,
            "Conv2d::backward: grad ", grad_out.shape_string(),
-           " does not match input ", x.shape_string());
+           " does not match input [", n, ", ", cin_, ", ", h, ", ", w, "]");
   const std::size_t ho = grad_out.dim(2), wo = grad_out.dim(3);
   GF_CHECK(ho == h + 2 * pad_ - k_ + 1 && wo == w + 2 * pad_ - k_ + 1,
            "Conv2d::backward: grad spatial dims ", grad_out.shape_string());
@@ -100,23 +117,20 @@ const Tensor& Conv2d::backward(const Tensor& grad_out) {
     grad_b_[co] += static_cast<float>(s);
   }
 
-  // dW += dY · im2col(x)ᵀ, accumulated straight into grad_w_ (the GEMM
-  // kernels add into C). The im2col matrix is recomputed from the cached
-  // input (cheaper than holding it across the layer stack).
-  auto cols = arena.acquire(kdim * ncols);
-  detail::im2col(x.raw(), n, cin_, h, w, k_, pad_, cols.data());
+  // dW += dY · colsᵀ over the forward's kept im2col matrix, accumulated
+  // straight into grad_w_ (the GEMM kernels add into C).
   detail::gemm_acc(cout_, kdim, ncols, {dy.data(), ncols, 1},
-                   {cols.data(), 1, ncols}, grad_w_.raw(), sp_);
+                   {cols_.data(), 1, ncols}, grad_w_.raw(), sp_);
+  if (!input_grad) return;
 
   // dX = col2im(Wᵀ · dY). col2im accumulates, so the reused buffer must be
-  // zeroed first (a fresh Tensor used to provide the zeros implicitly).
+  // zeroed first.
   auto gcols = arena.acquire(kdim * ncols);
   detail::gemm(kdim, ncols, cout_, {weight_.raw(), 1, kdim},
                {dy.data(), ncols, 1}, gcols.data(), sp_);
   grad_in_.resize4(n, cin_, h, w);
   grad_in_.zero();
   detail::col2im(gcols.data(), n, cin_, h, w, k_, pad_, grad_in_.raw());
-  return grad_in_;
 }
 
 void Conv2d::for_each_param(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "runtime/thread_pool.hpp"
 #include "runtime/workspace.hpp"
@@ -151,18 +152,90 @@ void pack_a(MatView a, std::size_t i0, std::size_t mc, std::size_t p0,
   }
 }
 
+#ifdef GROUPFEL_GEMM_VECTOR_EXT
+
+// One level of an NR×NR register transpose: exchanges bit H of the row index
+// with bit H of the column index between rows i and i + H. Applying it for
+// every power of two H < NR swaps all index bits.
+template <std::size_t H>
+constexpr int lo_lane(std::size_t j) {
+  return static_cast<int>((j & H) != 0 ? NR + j - H : j);
+}
+template <std::size_t H>
+constexpr int hi_lane(std::size_t j) {
+  return static_cast<int>((j & H) != 0 ? NR + j : j + H);
+}
+
+template <std::size_t H, std::size_t... J>
+inline void exchange_bit(v16f* r, std::index_sequence<J...>) {
+  for (std::size_t i = 0; i < NR; ++i) {
+    if ((i & H) != 0) continue;
+    const v16f a = r[i];
+    const v16f b = r[i + H];
+    r[i] = __builtin_shufflevector(a, b, lo_lane<H>(J)...);
+    r[i + H] = __builtin_shufflevector(a, b, hi_lane<H>(J)...);
+  }
+}
+
+template <std::size_t H = 1>
+inline void transpose_tile(v16f* r) {
+  if constexpr (H < NR) {
+    exchange_bit<H>(r, std::make_index_sequence<NR>{});
+    transpose_tile<2 * H>(r);
+  }
+}
+
+/// One kc×NR sliver of a transposed B (b.rs == 1, e.g. the im2col matrix in
+/// the weight gradient dY·colsᵀ): sliver column jj < nr is the contiguous
+/// run src[jj·cs, jj·cs + kc). NR×NR tiles are loaded along k, transposed in
+/// registers and stored as NR packed rows; columns jj >= nr load as zeros.
+void pack_b_transposed(const float* src, std::size_t cs, std::size_t kc,
+                       std::size_t nr, float* __restrict dst) {
+  std::size_t p = 0;
+  for (; p + NR <= kc; p += NR) {
+    v16f tile[NR];
+    for (std::size_t jj = 0; jj < NR; ++jj)
+      tile[jj] = jj < nr ? static_cast<v16f>(*reinterpret_cast<const v16f_u*>(
+                               src + jj * cs + p))
+                         : v16f{};
+    transpose_tile(tile);
+    for (std::size_t q = 0; q < NR; ++q)
+      *reinterpret_cast<v16f_u*>(dst + (p + q) * NR) = tile[q];
+  }
+  for (; p < kc; ++p) {
+    std::size_t jj = 0;
+    for (; jj < nr; ++jj) dst[p * NR + jj] = src[jj * cs + p];
+    for (; jj < NR; ++jj) dst[p * NR + jj] = 0.0f;
+  }
+}
+
+#endif  // GROUPFEL_GEMM_VECTOR_EXT
+
 /// Packs B[p0 .. p0+kc, j0 .. j0+nc] into NR-column slivers (zero-padded).
+/// Every layout produces the same packed bytes; the fast paths only change
+/// how B is read.
 void pack_b(MatView b, std::size_t p0, std::size_t kc, std::size_t j0,
             std::size_t nc, float* __restrict dst) {
   for (std::size_t j = 0; j < nc; j += NR) {
     const std::size_t nr = std::min(NR, nc - j);
     const float* src = b.p + p0 * b.rs + (j0 + j) * b.cs;
-    if (b.cs == 1) {
+    if (b.cs == 1 && nr == NR) {
+      // Full sliver rows: the constant-size copy compiles to one vector
+      // load and store per row; the variable-length copy below pays a
+      // string-move (or library call) set-up per 64-byte row.
+      for (std::size_t p = 0; p < kc; ++p, dst += NR)
+        std::memcpy(dst, src + p * b.rs, NR * sizeof(float));
+    } else if (b.cs == 1) {
       for (std::size_t p = 0; p < kc; ++p) {
         std::memcpy(dst, src + p * b.rs, nr * sizeof(float));
         for (std::size_t jj = nr; jj < NR; ++jj) dst[jj] = 0.0f;
         dst += NR;
       }
+#ifdef GROUPFEL_GEMM_VECTOR_EXT
+    } else if (b.rs == 1) {
+      pack_b_transposed(src, b.cs, kc, nr, dst);
+      dst += kc * NR;
+#endif
     } else {
       for (std::size_t p = 0; p < kc; ++p) {
         const float* row = src + p * b.rs;

@@ -7,7 +7,10 @@
 //
 // Both directions hoist the padding bounds out of the pixel loops: per
 // (ky, kx) the valid output-pixel range is computed once and the interior
-// is a contiguous span copy (im2col) or span accumulate (col2im).
+// is a contiguous span copy (im2col) or span accumulate (col2im). For
+// "same" padding (Wo == W) the valid rows of one (c, ky, kx, n) plane sit
+// at a constant offset from the input plane, so im2col copies them in one
+// span and then clears the out-of-row columns.
 #pragma once
 
 #include <cstddef>

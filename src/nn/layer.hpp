@@ -34,6 +34,17 @@ class Layer {
   /// forward(train=true).
   virtual const Tensor& backward(const Tensor& grad_out) = 0;
 
+  /// Parameter-only backward: accumulates exactly the parameter gradients
+  /// backward(grad_out) would, bit for bit, but need not compute dL/d(input).
+  /// Model::backward calls it on the first layer, whose input gradient
+  /// nobody reads. Same precondition as backward() (throws without a prior
+  /// forward(train=true)); afterwards the layer's input-gradient buffer is
+  /// unspecified. The default runs backward() and discards the result;
+  /// layers with an input-gradient GEMM override it to skip that work.
+  virtual void backward_params(const Tensor& grad_out) {
+    (void)backward(grad_out);
+  }
+
   /// Visits every (parameter, gradient) tensor pair. Parameter-free layers
   /// keep the default no-op.
   virtual void for_each_param(
@@ -75,6 +86,7 @@ class Linear final : public Layer {
 
   const Tensor& forward(const Tensor& input, bool train) override;
   const Tensor& backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   void for_each_param(
       util::FunctionRef<void(Tensor&, Tensor&)> fn) override;
   void for_each_param(util::FunctionRef<void(const Tensor&, const Tensor&)> fn) const override;
@@ -88,6 +100,10 @@ class Linear final : public Layer {
   [[nodiscard]] std::size_t out_features() const noexcept { return out_; }
 
  private:
+  /// Shared body of backward()/backward_params(): dW and db always, dX into
+  /// grad_in_ only when `input_grad`.
+  void backward_impl(const Tensor& grad_out, bool input_grad);
+
   std::size_t in_, out_;
   StoragePrecision sp_ = StoragePrecision::kFp32;
   Tensor weight_;   // [in, out]
@@ -127,10 +143,12 @@ class Flatten final : public Layer {
 
 /// 2-D convolution with square kernel, stride 1, symmetric zero padding.
 /// Input [N, Cin, H, W] -> output [N, Cout, H', W'].
-/// Forward and backward lower to GEMM via im2col/col2im (nn/im2col.hpp);
-/// scratch comes from runtime::WorkspaceArena, so steady-state training
-/// does not allocate. The original loop nests live on as the
-/// conv_reference_* oracles below.
+/// Forward and backward lower to GEMM via im2col/col2im (nn/im2col.hpp).
+/// forward(train=true) writes the im2col matrix into a layer-owned buffer
+/// that backward() reuses for dW; evaluation forwards and all other scratch
+/// use runtime::WorkspaceArena, so steady-state training does not allocate
+/// and an eval forward never clobbers the kept matrix. The original loop
+/// nests live on as the conv_reference_* oracles below.
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -138,6 +156,7 @@ class Conv2d final : public Layer {
 
   const Tensor& forward(const Tensor& input, bool train) override;
   const Tensor& backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   void for_each_param(
       util::FunctionRef<void(Tensor&, Tensor&)> fn) override;
   void for_each_param(util::FunctionRef<void(const Tensor&, const Tensor&)> fn) const override;
@@ -148,12 +167,19 @@ class Conv2d final : public Layer {
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
  private:
+  /// Shared body of backward()/backward_params(): dW and db always, dX into
+  /// grad_in_ (GEMM + col2im) only when `input_grad`.
+  void backward_impl(const Tensor& grad_out, bool input_grad);
+
   std::size_t cin_, cout_, k_, pad_;
   StoragePrecision sp_ = StoragePrecision::kFp32;
   Tensor weight_;  // [Cout, Cin, k, k]
   Tensor bias_;    // [1, Cout]
   Tensor grad_w_, grad_b_;
-  Tensor cached_input_;
+  // Last training forward: its input shape and its im2col matrix
+  // [Cin·k·k, N·Ho·Wo], kept for dW.
+  std::vector<std::size_t> cached_shape_;
+  std::vector<float> cols_;
   Tensor out_buf_, grad_in_;
 };
 

@@ -36,6 +36,15 @@ const Tensor& Linear::forward(const Tensor& input, bool train) {
 }
 
 const Tensor& Linear::backward(const Tensor& grad_out) {
+  backward_impl(grad_out, /*input_grad=*/true);
+  return grad_in_;
+}
+
+void Linear::backward_params(const Tensor& grad_out) {
+  backward_impl(grad_out, /*input_grad=*/false);
+}
+
+void Linear::backward_impl(const Tensor& grad_out, bool input_grad) {
   const std::size_t n = grad_out.dim(0);
   GF_CHECK(cached_input_.size() != 0,
            "Linear::backward without forward(train=true)");
@@ -51,9 +60,9 @@ const Tensor& Linear::backward(const Tensor& grad_out) {
     const float* grow = go + i * out_;
     for (std::size_t j = 0; j < out_; ++j) gb[j] += grow[j];
   }
+  if (!input_grad) return;
   grad_in_.resize2(n, in_);
   matmul_bt(grad_out, weight_, grad_in_, sp_);
-  return grad_in_;
 }
 
 void Linear::for_each_param(

@@ -34,6 +34,8 @@ class Model {
   [[nodiscard]] const Tensor& forward(const Tensor& input, bool train = false);
 
   /// Backward pass; call after forward(train=true). Accumulates gradients.
+  /// The first layer runs Layer::backward_params: the model's input
+  /// gradient is never formed.
   void backward(const Tensor& grad_out);
 
   /// Sets every gradient tensor to zero.

@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "nn/im2col.hpp"
 #include "nn/layer.hpp"
 
 namespace groupfel::nn {
@@ -187,6 +190,96 @@ TEST(ConvReference, GradientAccumulationMatchesTwoPasses) {
   });
   for (std::size_t i = 0; i < once.size(); ++i)
     EXPECT_NEAR(twice[i], 2.0f * once[i], 1e-4f);
+}
+
+// ---- im2col byte-level oracle ----
+//
+// A verbatim copy of the per-row im2col loop as it stood before the
+// "same"-padding plane copy and the valid-range clamp. Its unclamped range
+// can start past a row's end (k = 5, pad = 2, w = 1 gives ox0 = 2 > wo = 1),
+// and the row's leading memset then writes ox0 − wo floats into the next
+// row. That row is always written later, so the oracle's output is still
+// the intended matrix.
+
+inline void oracle_valid_range(std::size_t out, std::size_t in, std::size_t kf,
+                               std::size_t pad, std::size_t& lo,
+                               std::size_t& hi) {
+  lo = pad > kf ? pad - kf : 0;
+  hi = (in + pad > kf) ? std::min(out, in + pad - kf) : 0;
+  if (hi < lo) hi = lo;
+}
+
+void oracle_im2col(const float* x, std::size_t n, std::size_t c,
+                   std::size_t h, std::size_t w, std::size_t k,
+                   std::size_t pad, float* cols) {
+  const std::size_t ho = detail::conv_out_dim(h, k, pad);
+  const std::size_t wo = detail::conv_out_dim(w, k, pad);
+  const std::size_t ncols = n * ho * wo;
+  for (std::size_t ci = 0; ci < c; ++ci) {
+    for (std::size_t ky = 0; ky < k; ++ky) {
+      std::size_t oy0, oy1;
+      oracle_valid_range(ho, h, ky, pad, oy0, oy1);
+      for (std::size_t kx = 0; kx < k; ++kx) {
+        std::size_t ox0, ox1;
+        oracle_valid_range(wo, w, kx, pad, ox0, ox1);
+        float* dst = cols + ((ci * k + ky) * k + kx) * ncols;
+        for (std::size_t ni = 0; ni < n; ++ni) {
+          const float* plane = x + (ni * c + ci) * h * w;
+          for (std::size_t oy = 0; oy < ho; ++oy) {
+            float* drow = dst + (ni * ho + oy) * wo;
+            if (oy < oy0 || oy >= oy1) {
+              std::memset(drow, 0, wo * sizeof(float));
+              continue;
+            }
+            const std::size_t iy = oy + ky - pad;
+            const float* srow = plane + iy * w + (ox0 + kx - pad);
+            if (ox0 > 0) std::memset(drow, 0, ox0 * sizeof(float));
+            std::memcpy(drow + ox0, srow, (ox1 - ox0) * sizeof(float));
+            if (ox1 < wo)
+              std::memset(drow + ox1, 0, (wo - ox1) * sizeof(float));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Im2col, ByteIdenticalToRowLoopOracle) {
+  constexpr std::size_t n = 2, c = 2;
+  const std::size_t sides[] = {1, 2, 3, 4, 7, 8, 16};
+  runtime::Rng rng(77);
+  for (const std::size_t k : {1, 3, 5}) {
+    for (std::size_t pad = 0; pad <= k; ++pad) {
+      for (const std::size_t h : sides) {
+        for (const std::size_t w : sides) {
+          if (h + 2 * pad < k || w + 2 * pad < k) continue;
+          SCOPED_TRACE(::testing::Message() << "k=" << k << " pad=" << pad
+                                            << " h=" << h << " w=" << w);
+          std::vector<float> x(n * c * h * w);
+          for (auto& v : x) v = static_cast<float>(rng.normal());
+          const std::size_t size = c * k * k * n *
+                                   detail::conv_out_dim(h, k, pad) *
+                                   detail::conv_out_dim(w, k, pad);
+          // 0xFF bytes (a NaN pattern) mark unwritten slots; the slack
+          // after `size` must stay untouched.
+          const std::size_t slack = k + 1;
+          std::vector<float> want(size + slack), got(size + slack);
+          std::memset(want.data(), 0xFF, want.size() * sizeof(float));
+          std::memset(got.data(), 0xFF, got.size() * sizeof(float));
+          oracle_im2col(x.data(), n, c, h, w, k, pad, want.data());
+          detail::im2col(x.data(), n, c, h, w, k, pad, got.data());
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), size * sizeof(float)),
+                    0);
+          const std::vector<unsigned char> slack_bytes(
+              slack * sizeof(float), 0xFF);
+          ASSERT_EQ(std::memcmp(got.data() + size, slack_bytes.data(),
+                                slack_bytes.size()),
+                    0)
+              << "write past the matrix end";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <vector>
 
+#include "nn/gemm.hpp"
 #include "nn/tensor.hpp"
 #include "runtime/rng.hpp"
 
@@ -108,6 +111,54 @@ TEST(GemmEquivalence, RepeatedCallsAreDeterministic) {
   matmul(a, b, second);
   for (std::size_t i = 0; i < first.size(); ++i)
     ASSERT_EQ(first[i], second[i]) << "flat index " << i;
+}
+
+TEST(GemmEquivalence, BlockedPathBitIdenticalAcrossBLayouts) {
+  // The blocked path packs B the same way whether B is row-contiguous, stored
+  // transposed (rs == 1, read along k), or a generic strided view, so the
+  // products must agree bit for bit. m16·n1024·k72 is CNN5's conv2 forward
+  // at batch 16 (every layout takes the blocked path); m8·n27·k4096 is
+  // conv1's weight gradient, whose row-contiguous form takes the skinny
+  // path instead and is left out; m16·n1000·k300 adds a ragged last sliver
+  // and a second KC chunk.
+  struct Shape {
+    std::size_t m, n, k;
+    bool contiguous_blocked;
+  };
+  for (const Shape s : {Shape{16, 1024, 72, true}, Shape{8, 27, 4096, false},
+                        Shape{16, 1000, 300, true}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << s.m << " n=" << s.n << " k=" << s.k);
+    runtime::Rng rng(s.m * 31 + s.n * 17 + s.k);
+    std::vector<float> a(s.m * s.k), rows(s.k * s.n), cols(s.n * s.k),
+        strided(s.k * 2 * s.n);
+    for (auto& v : a) v = static_cast<float>(rng.normal());
+    for (std::size_t p = 0; p < s.k; ++p)
+      for (std::size_t j = 0; j < s.n; ++j) {
+        const auto v = static_cast<float>(rng.normal());
+        rows[p * s.n + j] = v;
+        cols[j * s.k + p] = v;
+        strided[p * 2 * s.n + 2 * j] = v;
+      }
+    const detail::MatView av{a.data(), s.k, 1};
+    const auto product = [&](detail::MatView b) {
+      std::vector<float> c(s.m * s.n);
+      detail::gemm(s.m, s.n, s.k, av, b, c.data());
+      return c;
+    };
+    const std::vector<float> transposed = product({cols.data(), 1, s.k});
+    const std::vector<float> gathered =
+        product({strided.data(), 2 * s.n, 2});
+    ASSERT_EQ(std::memcmp(transposed.data(), gathered.data(),
+                          transposed.size() * sizeof(float)),
+              0);
+    if (s.contiguous_blocked) {
+      const std::vector<float> contiguous = product({rows.data(), s.n, 1});
+      ASSERT_EQ(std::memcmp(contiguous.data(), gathered.data(),
+                            contiguous.size() * sizeof(float)),
+                0);
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
 #include "runtime/thread_pool.hpp"
+#include "util/check.hpp"
 
 namespace groupfel::nn {
 namespace {
@@ -89,6 +90,112 @@ TEST(Model, GradientsAccumulateAcrossBackwards) {
 
   for (std::size_t i = 0; i < once.size(); ++i)
     EXPECT_NEAR(twice[i], 2.0f * once[i], 1e-5f);
+}
+
+// ---- Layer-0 parameter-only backward ----
+
+struct BackwardCase {
+  const char* name;
+  Model model;
+  std::vector<std::size_t> sample_shape;
+};
+
+std::vector<BackwardCase> backward_cases() {
+  std::vector<BackwardCase> cases;
+  cases.push_back({"mlp", make_mlp(12, 16, 5), {12}});
+  cases.push_back({"cnn5", make_cnn5(3, 16, 16, 5), {3, 16, 16}});
+  cases.push_back({"resnet3", make_resnet3(3, 8, 5, 4), {3, 8, 8}});
+  runtime::Rng rng(31);
+  for (auto& c : cases) c.model.init(rng);
+  return cases;
+}
+
+Tensor random_batch(std::size_t n, const std::vector<std::size_t>& sample,
+                    runtime::Rng& rng) {
+  std::vector<std::size_t> shape{n};
+  shape.insert(shape.end(), sample.begin(), sample.end());
+  Tensor x(shape);
+  for (auto& v : x.data()) v = static_cast<float>(rng.normal());
+  return x;
+}
+
+std::vector<std::int32_t> labels_for(std::size_t n) {
+  std::vector<std::int32_t> labels(n);
+  for (std::size_t i = 0; i < n; ++i)
+    labels[i] = static_cast<std::int32_t>(i % 5);
+  return labels;
+}
+
+/// Reference: clones of every layer chained by hand, each running the full
+/// Layer::backward (input gradient included), gradients read in model order.
+std::vector<float> manual_chain_gradients(const Model& proto, const Tensor& x,
+                                          std::span<const std::int32_t> y) {
+  std::vector<std::unique_ptr<Layer>> layers;
+  for (std::size_t i = 0; i < proto.layer_count(); ++i)
+    layers.push_back(proto.layer(i).clone());
+  const Tensor* h = &x;
+  for (auto& l : layers) h = &l->forward(*h, /*train=*/true);
+  const LossResult loss = softmax_cross_entropy(*h, y);
+  const Tensor* g = &loss.grad;
+  for (auto it = layers.rbegin(); it != layers.rend(); ++it)
+    g = &(*it)->backward(*g);
+  std::vector<float> flat;
+  for (auto& l : layers)
+    l->for_each_param([&](Tensor&, Tensor& grad) {
+      flat.insert(flat.end(), grad.data().begin(), grad.data().end());
+    });
+  return flat;
+}
+
+TEST(Model, BackwardMatchesFullLayerChainBitwise) {
+  for (auto& c : backward_cases()) {
+    SCOPED_TRACE(c.name);
+    runtime::Rng rng(32);
+    const Tensor x = random_batch(6, c.sample_shape, rng);
+    const std::vector<std::int32_t> y = labels_for(6);
+    Model m = c.model.clone();
+    const Tensor& logits = m.forward(x, /*train=*/true);
+    m.backward(softmax_cross_entropy(logits, y).grad);
+    EXPECT_EQ(m.flat_gradients(), manual_chain_gradients(c.model, x, y));
+  }
+}
+
+TEST(Model, EvalForwardBetweenTrainForwardAndBackwardKeepsGradients) {
+  for (auto& c : backward_cases()) {
+    SCOPED_TRACE(c.name);
+    runtime::Rng rng(33);
+    const Tensor train_x = random_batch(6, c.sample_shape, rng);
+    const Tensor eval_x = random_batch(9, c.sample_shape, rng);
+    const std::vector<std::int32_t> y = labels_for(6);
+
+    Model ref = c.model.clone();
+    const LossResult ref_loss =
+        softmax_cross_entropy(ref.forward(train_x, /*train=*/true), y);
+    ref.backward(ref_loss.grad);
+
+    // Evaluation on another batch (and batch size) between a training
+    // forward and its backward must not disturb what backward reads.
+    Model m = c.model.clone();
+    const LossResult loss =
+        softmax_cross_entropy(m.forward(train_x, /*train=*/true), y);
+    (void)m.forward(eval_x, /*train=*/false);
+    m.backward(loss.grad);
+    EXPECT_EQ(m.flat_gradients(), ref.flat_gradients());
+  }
+}
+
+TEST(Model, BackwardParamsWithoutForwardThrows) {
+  const Tensor dense_grad({2, 3});
+  const Tensor conv_grad({2, 4, 5, 5});
+  Linear linear(4, 3);
+  EXPECT_THROW(linear.backward(dense_grad), util::CheckFailure);
+  EXPECT_THROW(linear.backward_params(dense_grad), util::CheckFailure);
+  Conv2d conv(2, 4, 3, 1);
+  EXPECT_THROW(conv.backward(conv_grad), util::CheckFailure);
+  EXPECT_THROW(conv.backward_params(conv_grad), util::CheckFailure);
+  ReLU relu;  // parameter-free: the default backward_params runs backward
+  EXPECT_THROW(relu.backward(dense_grad), util::CheckFailure);
+  EXPECT_THROW(relu.backward_params(dense_grad), util::CheckFailure);
 }
 
 TEST(Sgd, StepReducesLoss) {
