@@ -2,7 +2,8 @@
 // reproduction bottoms out in (GEMM, Conv2d fwd/bwd) against their retained
 // naive oracles, plus the two protocol kernels whose quadratic cost the
 // paper's Fig. 2a / Fig. 8 overhead model rests on (SecAgg mask expansion,
-// FLAME pairwise cosine). Emits BENCH_kernels.json so the kernel perf
+// FLAME pairwise cosine), plus the synthetic-sample noise kernel behind lazy
+// shard synthesis. Emits BENCH_kernels.json so the kernel perf
 // trajectory is tracked from PR 1 onward.
 //
 //   ./micro_kernels            full timed run (writes BENCH_kernels.json)
@@ -21,8 +22,10 @@
 // Commands task) at batch 32.
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -287,6 +290,52 @@ KernelReport bench_secagg_mask(std::size_t n, std::size_t reps) {
   return r;
 }
 
+/// Synthetic-sample noise — the lazy-shard synthesis kernel. Naive is the
+/// scalar loop out[d] = base[d] + float(normal() * scale); optimized is the
+/// 8-lane Box–Muller kernel Rng::add_normals. Both define the same samples,
+/// so the error column counts mismatched floats and must be exactly 0.
+KernelReport bench_synth_normals(std::size_t n, std::size_t samples,
+                                 std::size_t reps) {
+  constexpr double kScale = 1.4;  // cifar_like_spec's noise scale
+  KernelReport r;
+  r.name = "synth_normals";
+  r.shape = "n" + std::to_string(n) + "_x" + std::to_string(samples);
+  r.flops = static_cast<double>(n * samples);  // unit: floats, not FLOPs
+  std::vector<float> base(n), naive_out(n * samples), opt_out(n * samples);
+  runtime::Rng base_rng(23);
+  for (auto& v : base) v = static_cast<float>(base_rng.normal());
+  // One fresh stream per sample, as synthesize_sample draws them.
+  const auto naive = [&] {
+    for (std::size_t i = 0; i < samples; ++i) {
+      runtime::Rng rng(i + 1);
+      float* out = naive_out.data() + i * n;
+      for (std::size_t d = 0; d < n; ++d)
+        out[d] = base[d] + static_cast<float>(rng.normal() * kScale);
+    }
+  };
+  const auto opt = [&] {
+    for (std::size_t i = 0; i < samples; ++i) {
+      runtime::Rng rng(i + 1);
+      rng.add_normals(base, kScale, std::span(opt_out).subspan(i * n, n));
+    }
+  };
+  naive();
+  opt();
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < naive_out.size(); ++i)
+    mismatches += std::memcmp(&naive_out[i], &opt_out[i], sizeof(float)) != 0;
+  r.max_rel_err =
+      static_cast<double>(mismatches) / static_cast<double>(naive_out.size());
+  r.tolerance = 0.0;
+  r.min_speedup = 2.0;
+  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
+  r.naive_gflops = r.flops / time_best(naive, reps) * 1e-9;
+  r.speedup = r.opt_gflops / r.naive_gflops;
+  r.note = "Gfloat/s of noised sample floats; error is the mismatch share "
+           "(exact match required)";
+  return r;
+}
+
 /// FLAME pairwise cosine matrix — the O(|g|²·d) group operation.
 KernelReport bench_flame_cosine(std::size_t clients, std::size_t dim,
                                 std::size_t reps) {
@@ -394,6 +443,9 @@ int main(int argc, char** argv) {
   // Protocol kernels (Fig. 2a / Fig. 8 cost drivers).
   reports.push_back(bench_secagg_mask(g_smoke ? 4096 : 65536, 9));
   reports.push_back(bench_flame_cosine(16, g_smoke ? 2048 : 16384, 9));
+  // Lazy-shard synthesis: one 3x16x16 image sample's noise per stream, 64
+  // samples (cache-resident, like a training batch's buffer).
+  reports.push_back(bench_synth_normals(768, 64, 51));
 
   std::cout << util::ascii_table(
       "Kernel microbenchmarks (naive vs optimized)",

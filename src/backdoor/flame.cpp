@@ -107,7 +107,8 @@ FlameResult flame_filter(const std::vector<std::vector<float>>& updates,
     const double scale =
         (norm > res.clip_norm && norm > 0.0) ? res.clip_norm / norm : 1.0;
     for (std::size_t k = 0; k < dim; ++k)
-      res.aggregated[k] += static_cast<float>(updates[i][k] * scale);
+      res.aggregated[k] +=
+          static_cast<float>(static_cast<double>(updates[i][k]) * scale);
   }
   if (accepted_count > 0) {
     const float inv = 1.0f / static_cast<float>(accepted_count);

@@ -63,8 +63,7 @@ std::int32_t synthesize_sample(const SyntheticSpec& spec,
   const std::size_t modes = spec.modes_per_class;
   const std::size_t mode = modes > 1 ? rng.next_below(modes) : 0;
   const float* proto = prototypes.data() + (cls * modes + mode) * dim;
-  for (std::size_t d = 0; d < dim; ++d)
-    out[d] = proto[d] + static_cast<float>(rng.normal() * spec.noise_scale);
+  rng.add_normals({proto, dim}, spec.noise_scale, {out, dim});
   std::int32_t label = static_cast<std::int32_t>(cls);
   if (spec.label_noise > 0.0 && rng.next_double() < spec.label_noise)
     label = static_cast<std::int32_t>(rng.next_below(spec.num_classes));
@@ -88,9 +87,8 @@ DataSet make_synthetic(const SyntheticSpec& spec, std::size_t n,
     const std::size_t cls = i % spec.num_classes;
     const std::size_t mode = modes > 1 ? rng.next_below(modes) : 0;
     const float* proto = prototypes.data() + (cls * modes + mode) * dim;
-    float* out = features.raw() + i * dim;
-    for (std::size_t d = 0; d < dim; ++d)
-      out[d] = proto[d] + static_cast<float>(rng.normal() * spec.noise_scale);
+    rng.add_normals({proto, dim}, spec.noise_scale,
+                    {features.raw() + i * dim, dim});
     std::int32_t label = static_cast<std::int32_t>(cls);
     if (spec.label_noise > 0.0 && rng.next_double() < spec.label_noise)
       label = static_cast<std::int32_t>(rng.next_below(spec.num_classes));

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace groupfel::nn {
 
@@ -44,6 +45,9 @@ void softmax_cross_entropy_into(const Tensor& logits,
   res.grad.resize2(n, c);  // every element is overwritten below
   const float inv_n = 1.0f / static_cast<float>(n);
   double total = 0.0;
+  // One row's exponentials, computed once and reused for the gradient.
+  thread_local std::vector<double> exps;
+  exps.resize(c);
 
   for (std::size_t i = 0; i < n; ++i) {
     const auto label = static_cast<std::size_t>(labels[i]);
@@ -59,14 +63,15 @@ void softmax_cross_entropy_into(const Tensor& logits,
     if (argmax == label) ++res.correct;
 
     double denom = 0.0;
-    for (std::size_t j = 0; j < c; ++j)
-      denom += std::exp(static_cast<double>(logits.at2(i, j) - mx));
+    for (std::size_t j = 0; j < c; ++j) {
+      exps[j] = std::exp(static_cast<double>(logits.at2(i, j) - mx));
+      denom += exps[j];
+    }
     const double log_denom = std::log(denom);
     total += log_denom - static_cast<double>(logits.at2(i, label) - mx);
 
     for (std::size_t j = 0; j < c; ++j) {
-      const double p =
-          std::exp(static_cast<double>(logits.at2(i, j) - mx)) / denom;
+      const double p = exps[j] / denom;
       res.grad.at2(i, j) =
           (static_cast<float>(p) - (j == label ? 1.0f : 0.0f)) * inv_n;
     }

@@ -1,5 +1,6 @@
 #include "runtime/rng.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -14,9 +15,27 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
+namespace detail {
+
+NormalPair box_muller(double u1, double u2) noexcept {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  return {r * std::cos(theta), r * std::sin(theta)};
+}
+
+}  // namespace detail
+
 namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
+}
+
+// The draws of one Box–Muller pair, in stream order: u1 (redrawn while it
+// would make log(u1) blow up), then u2.
+void draw_pair_uniforms(Rng& rng, double& u1, double& u2) noexcept {
+  u1 = rng.next_double();
+  while (u1 <= 1e-300) u1 = rng.next_double();
+  u2 = rng.next_double();
 }
 }  // namespace
 
@@ -75,14 +94,36 @@ double Rng::normal() noexcept {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  double u1 = next_double();
-  while (u1 <= 1e-300) u1 = next_double();
-  const double u2 = next_double();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
+  double u1 = 0.0, u2 = 0.0;
+  draw_pair_uniforms(*this, u1, u2);
+  const detail::NormalPair pair = detail::box_muller(u1, u2);
+  cached_normal_ = pair.sin_half;
   has_cached_normal_ = true;
-  return r * std::cos(theta);
+  return pair.cos_half;
+}
+
+void Rng::add_normals(std::span<const float> base, double scale,
+                      std::span<float> out) noexcept {
+  assert(base.size() == out.size());
+  const std::size_t n = out.size();
+  std::size_t d = 0;
+  if (n > 0 && has_cached_normal_) {
+    out[0] = base[0] + static_cast<float>(normal() * scale);
+    d = 1;
+  }
+  // Lanes past `pairs` in a short last batch keep valid earlier uniforms;
+  // their results are discarded.
+  std::array<double, detail::kNormalLanes> u1{}, u2{};
+  u1.fill(0.5);
+  while (n - d >= 2) {
+    const std::size_t pairs = std::min(detail::kNormalLanes, (n - d) / 2);
+    for (std::size_t p = 0; p < pairs; ++p)
+      draw_pair_uniforms(*this, u1[p], u2[p]);
+    (void)detail::add_normal_pairs(u1, u2, pairs, scale, base.data() + d,
+                                   out.data() + d);
+    d += 2 * pairs;
+  }
+  if (d < n) out[d] = base[d] + static_cast<float>(normal() * scale);
 }
 
 double Rng::normal(double mean, double stddev) noexcept {

@@ -18,6 +18,42 @@ namespace groupfel::runtime {
 /// splitmix64 step; used to derive seeds and to seed xoshiro state.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+namespace detail {
+
+/// One Box–Muller pair: r·cos θ and r·sin θ with r = sqrt(-2 ln u1) and
+/// θ = 2π·u2.
+struct NormalPair {
+  double cos_half = 0.0;
+  double sin_half = 0.0;
+};
+
+/// The reference pair arithmetic (libm log/sqrt/sin/cos). Rng::normal() and
+/// the bulk kernel's per-pair fallback both call it, so it is defined once.
+[[nodiscard]] NormalPair box_muller(double u1, double u2) noexcept;
+
+/// Pairs per bulk-kernel call.
+inline constexpr std::size_t kNormalLanes = 8;
+
+/// The kernel's vector fast path alone, for kNormalLanes pairs with
+/// u1 in (0, 1) and u2 in [0, 1). Relative error against box_muller() is far
+/// below the 2^-36 band add_normal_pairs() tests; exposed for accuracy tests.
+void box_muller_fast(std::span<const double, kNormalLanes> u1,
+                     std::span<const double, kNormalLanes> u2,
+                     std::span<double, kNormalLanes> cos_half,
+                     std::span<double, kNormalLanes> sin_half) noexcept;
+
+/// out[2p + h] = base[2p + h] + float(pair_p.half_h * scale) for the first
+/// `pairs` (<= kNormalLanes) pairs, with h = 0 the cos half and h = 1 the
+/// sin half. A pair whose fast value is not certain to round to the same
+/// float as the reference is recomputed through box_muller(). Returns the
+/// number of pairs that took that fallback.
+std::size_t add_normal_pairs(std::span<const double, kNormalLanes> u1,
+                             std::span<const double, kNormalLanes> u2,
+                             std::size_t pairs, double scale,
+                             const float* base, float* out) noexcept;
+
+}  // namespace detail
+
 /// xoshiro256++ generator. Small, fast, passes BigCrush; not cryptographic
 /// (the secagg module layers a keyed PRG on top for mask expansion).
 class Rng {
@@ -51,6 +87,15 @@ class Rng {
 
   /// Normal with mean/stddev.
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
+
+  /// Bulk Gaussian noise: writes exactly what the loop
+  ///   out[d] = base[d] + static_cast<float>(normal() * scale)
+  /// writes, and leaves the stream (position and cached half-pair) exactly
+  /// where that loop leaves it. Full pairs go through the 8-lane kernel in
+  /// normal_bulk.cpp; an odd last value goes through normal(), which caches
+  /// its sin half. Requires base.size() == out.size().
+  void add_normals(std::span<const float> base, double scale,
+                   std::span<float> out) noexcept;
 
   /// Gamma(shape, 1) via Marsaglia–Tsang; shape > 0.
   [[nodiscard]] double gamma(double shape) noexcept;

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace groupfel::runtime {
 namespace {
@@ -224,6 +229,205 @@ TEST(Rng, SampleWithoutReplacementRejectsOverdraw) {
   Rng rng(20);
   EXPECT_THROW((void)rng.sample_without_replacement(3, 4),
                std::invalid_argument);
+}
+
+// ---- Bulk normals (Rng::add_normals and its 8-lane kernel) ----------------
+
+// The loop add_normals must reproduce, value for value.
+void add_normals_reference(Rng& rng, std::span<const float> base,
+                           double scale, std::span<float> out) {
+  for (std::size_t d = 0; d < out.size(); ++d)
+    out[d] = base[d] + static_cast<float>(rng.normal() * scale);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bytes(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+double relative_error(double got, double want) {
+  if (same_bits(got, want)) return 0.0;
+  return std::abs(got - want) / std::abs(want);
+}
+
+TEST(RngAddNormals, MatchesScalarLoopBytewiseWithFinalState) {
+  constexpr std::array<std::size_t, 10> kSizes = {0, 1, 2, 7, 8, 9,
+                                                  16, 17, 33, 768};
+  constexpr std::array<double, 3> kScales = {1.0, 1.4, 1.8};
+  std::size_t pairs = 0;
+  for (std::uint64_t seed = 1; pairs < 1000000; ++seed) {
+    for (const std::size_t n : kSizes) {
+      std::vector<float> base(n), want(n), got(n);
+      Rng base_rng(seed * 7919 + n);
+      for (auto& v : base) v = static_cast<float>(base_rng.normal());
+      for (const bool cached : {false, true}) {
+        for (const double scale : kScales) {
+          Rng ref(seed), bulk(seed);
+          if (cached) {  // enter holding the sin half of a pair
+            (void)ref.normal();
+            (void)bulk.normal();
+          }
+          add_normals_reference(ref, base, scale, want);
+          bulk.add_normals(base, scale, got);
+          const std::string where = "seed " + std::to_string(seed) + " n " +
+                                    std::to_string(n) + " cached " +
+                                    std::to_string(cached) + " scale " +
+                                    std::to_string(scale);
+          ASSERT_TRUE(same_bytes(want, got)) << where;
+          // Same cached half-pair (or none) and same stream position.
+          for (int k = 0; k < 3; ++k)
+            ASSERT_TRUE(same_bits(ref.normal(), bulk.normal())) << where;
+          ASSERT_EQ(ref.next_u64(), bulk.next_u64()) << where;
+          pairs += (n + 1) / 2;
+        }
+      }
+    }
+  }
+}
+
+TEST(RngAddNormals, ConsecutiveCallsContinueTheStream) {
+  // Odd lengths hand the cached sin half from one call to the next.
+  Rng ref(77), bulk(77);
+  const std::vector<float> base(64, 0.25f);
+  std::vector<float> want(64), got(64);
+  std::size_t at = 0;
+  for (const std::size_t n : {3, 1, 17, 0, 9, 2, 31, 1}) {
+    add_normals_reference(ref, std::span(base).first(n), 1.4,
+                          std::span(want).subspan(at, n));
+    bulk.add_normals(std::span(base).first(n), 1.4,
+                     std::span(got).subspan(at, n));
+    at += n;
+  }
+  EXPECT_TRUE(same_bytes(std::span(want).first(at), std::span(got).first(at)));
+  EXPECT_TRUE(same_bits(ref.normal(), bulk.normal()));
+  EXPECT_EQ(ref.next_u64(), bulk.next_u64());
+}
+
+// The fast path's error must stay far inside the 2^-36 rounding-test band
+// (at least 10 bits), including where libm is hardest to match: u1 near 0
+// and 1, and θ = 2π·u2 near multiples of π/4 (cos or sin near zero exposes
+// any error in the π/2 reduction constants).
+TEST(RngAddNormals, FastPathErrorFarInsideTheBand) {
+  std::vector<double> u1s;
+  for (const double j : {1.0, 2.0, 3.0, 5.0, 1000.0, 1048576.0}) {
+    u1s.push_back(j * 0x1p-53);
+    u1s.push_back(1.0 - j * 0x1p-53);
+  }
+  for (const int k : {1, 2, 3, 10, 30, 52, 53})
+    u1s.push_back(std::ldexp(1.0, -k));
+  u1s.push_back(0x1.6a09e667f3bcdp-1);  // √½, the mantissa split point
+  u1s.push_back(std::nextafter(0x1.6a09e667f3bcdp-1, 0.0));
+
+  std::vector<double> u2s;
+  for (int k = 0; k <= 8; ++k) {
+    double up = k / 8.0, down = k / 8.0;
+    for (int d = 0; d <= 2000; ++d) {
+      if (k == 0) {
+        u2s.push_back(d * 0x1p-53);  // next_double()'s grid near 0
+        continue;
+      }
+      if (k < 8) u2s.push_back(up);
+      if (d > 0) u2s.push_back(down);
+      up = std::nextafter(up, 2.0);
+      down = std::nextafter(down, -1.0);
+    }
+  }
+  double worst = 0.0;
+  std::array<double, detail::kNormalLanes> u1{}, u2{}, c{}, s{};
+  std::size_t lane = 0;
+  const auto check = [&](double a, double b) {
+    u1[lane] = a;
+    u2[lane] = b;
+    if (++lane < detail::kNormalLanes) return;
+    lane = 0;
+    detail::box_muller_fast(u1, u2, c, s);
+    for (std::size_t p = 0; p < detail::kNormalLanes; ++p) {
+      const detail::NormalPair ref = detail::box_muller(u1[p], u2[p]);
+      worst = std::max({worst, relative_error(c[p], ref.cos_half),
+                        relative_error(s[p], ref.sin_half)});
+    }
+  };
+  for (const double a : u1s)
+    for (const double b : u2s) check(a, b);
+  Rng rng(2718);
+  for (int i = 0; i < 1 << 17; ++i) {
+    double a = rng.next_double();
+    while (a <= 1e-300) a = rng.next_double();
+    check(a, rng.next_double());
+  }
+  EXPECT_LE(worst, 0x1p-46) << "log2(max rel err) = " << std::log2(worst);
+}
+
+// Pairs whose scaled value lies close to a float rounding midpoint cannot
+// be decided by the fast path; they must take the fallback and still match
+// the reference loop exactly.
+TEST(RngAddNormals, NearMidpointPairsTakeTheFallback) {
+  constexpr double kScale = 1.4;
+  constexpr double kHalfBand = 0x1p-37;
+  const auto ambiguous = [&](double v) {
+    const double y = v * kScale;
+    return static_cast<float>(y - kHalfBand * std::abs(y)) !=
+           static_cast<float>(y + kHalfBand * std::abs(y));
+  };
+  std::vector<std::pair<double, double>> found;
+  Rng rng(31337);
+  std::size_t searched = 0;
+  while (found.size() < 64) {
+    const double u1 = rng.next_double(), u2 = rng.next_double();
+    ++searched;
+    if (u1 <= 0.0) continue;
+    const detail::NormalPair ref = detail::box_muller(u1, u2);
+    if (ambiguous(ref.cos_half) || ambiguous(ref.sin_half))
+      found.emplace_back(u1, u2);
+  }
+  // Roughly 2^-11 of pairs: the search is not accidentally degenerate.
+  EXPECT_LT(searched, std::size_t{2000000});
+
+  std::vector<float> base(2 * detail::kNormalLanes);
+  for (std::size_t i = 0; i < base.size(); ++i)
+    base[i] = 0.125f * static_cast<float>(i);
+  for (std::size_t first = 0; first < found.size();
+       first += detail::kNormalLanes) {
+    for (const std::size_t pairs : {detail::kNormalLanes, std::size_t{3}}) {
+      std::array<double, detail::kNormalLanes> u1{}, u2{};
+      std::vector<float> want(2 * pairs), got(2 * pairs);
+      for (std::size_t p = 0; p < detail::kNormalLanes; ++p) {
+        u1[p] = found[first + p].first;
+        u2[p] = found[first + p].second;
+      }
+      for (std::size_t p = 0; p < pairs; ++p) {
+        const detail::NormalPair ref = detail::box_muller(u1[p], u2[p]);
+        want[2 * p] = base[2 * p] + static_cast<float>(ref.cos_half * kScale);
+        want[2 * p + 1] =
+            base[2 * p + 1] + static_cast<float>(ref.sin_half * kScale);
+      }
+      EXPECT_EQ(detail::add_normal_pairs(u1, u2, pairs, kScale, base.data(),
+                                         got.data()),
+                pairs);
+      EXPECT_TRUE(same_bytes(want, got));
+    }
+  }
+
+  // Random pairs rarely fall back (the kernel's fast path is the norm).
+  std::size_t fallbacks = 0, total = 0;
+  std::array<double, detail::kNormalLanes> u1{}, u2{};
+  std::vector<float> out(2 * detail::kNormalLanes);
+  for (int call = 0; call < 20000; ++call) {
+    for (std::size_t p = 0; p < detail::kNormalLanes; ++p) {
+      u1[p] = rng.next_double();
+      while (u1[p] <= 1e-300) u1[p] = rng.next_double();
+      u2[p] = rng.next_double();
+    }
+    fallbacks += detail::add_normal_pairs(u1, u2, detail::kNormalLanes,
+                                          kScale, base.data(), out.data());
+    total += detail::kNormalLanes;
+  }
+  EXPECT_LT(static_cast<double>(fallbacks) / static_cast<double>(total),
+            0.005);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "core/evaluator.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
@@ -163,6 +166,99 @@ TEST(ClientShard, RejectsOutOfRangeIndices) {
   SyntheticSpec spec;
   auto ds = std::make_shared<DataSet>(make_synthetic(spec, 5, rng));
   EXPECT_THROW(ClientShard(ds, {7}), std::invalid_argument);
+}
+
+// Verbatim copies of the per-element noise loops synthesize_sample and
+// make_synthetic ran before Rng::add_normals: the byte-identity reference.
+std::int32_t reference_sample(const SyntheticSpec& spec,
+                              std::span<const float> prototypes,
+                              std::uint64_t seed, std::size_t cls,
+                              float* out) {
+  const std::size_t dim = nn::shape_size(spec.sample_shape);
+  runtime::Rng rng(seed);
+  const std::size_t modes = spec.modes_per_class;
+  const std::size_t mode = modes > 1 ? rng.next_below(modes) : 0;
+  const float* proto = prototypes.data() + (cls * modes + mode) * dim;
+  for (std::size_t d = 0; d < dim; ++d)
+    out[d] = proto[d] + static_cast<float>(rng.normal() * spec.noise_scale);
+  std::int32_t label = static_cast<std::int32_t>(cls);
+  if (spec.label_noise > 0.0 && rng.next_double() < spec.label_noise)
+    label = static_cast<std::int32_t>(rng.next_below(spec.num_classes));
+  return label;
+}
+
+DataSet reference_synthetic(const SyntheticSpec& spec, std::size_t n,
+                            runtime::Rng& rng) {
+  const std::vector<float> prototypes = make_prototypes(spec);
+  const std::size_t dim = nn::shape_size(spec.sample_shape);
+  const std::size_t modes = spec.modes_per_class;
+  std::vector<std::size_t> shape;
+  shape.push_back(n);
+  shape.insert(shape.end(), spec.sample_shape.begin(), spec.sample_shape.end());
+  nn::Tensor features(shape);
+  std::vector<std::int32_t> labels(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t cls = i % spec.num_classes;
+    const std::size_t mode = modes > 1 ? rng.next_below(modes) : 0;
+    const float* proto = prototypes.data() + (cls * modes + mode) * dim;
+    float* out = features.raw() + i * dim;
+    for (std::size_t d = 0; d < dim; ++d)
+      out[d] = proto[d] + static_cast<float>(rng.normal() * spec.noise_scale);
+    std::int32_t label = static_cast<std::int32_t>(cls);
+    if (spec.label_noise > 0.0 && rng.next_double() < spec.label_noise)
+      label = static_cast<std::int32_t>(rng.next_below(spec.num_classes));
+    labels[i] = label;
+  }
+  return DataSet(std::move(features), std::move(labels), spec.num_classes);
+}
+
+// Both presets in both shapes, plus an odd width: with {33} every sample
+// ends on a cached sin half, which make_synthetic's shared stream hands to
+// the next sample.
+std::vector<SyntheticSpec> identity_specs() {
+  SyntheticSpec odd = cifar_like_spec(false);
+  odd.sample_shape = {33};
+  return {cifar_like_spec(false), cifar_like_spec(true), sc_like_spec(false),
+          sc_like_spec(true), odd};
+}
+
+TEST(SyntheticIdentity, SynthesizeSampleMatchesPerElementLoop) {
+  for (const SyntheticSpec& spec : identity_specs()) {
+    const std::vector<float> prototypes = make_prototypes(spec);
+    const std::size_t dim = nn::shape_size(spec.sample_shape);
+    const std::size_t samples = dim > 100 ? 400 : 4000;
+    std::vector<float> want(dim), got(dim);
+    for (std::size_t i = 0; i < samples; ++i) {
+      const std::uint64_t seed = sample_stream_seed(0xfeed + dim, i);
+      const std::size_t cls = i % spec.num_classes;
+      const std::int32_t want_label =
+          reference_sample(spec, prototypes, seed, cls, want.data());
+      const std::int32_t got_label =
+          synthesize_sample(spec, prototypes, seed, cls, got.data());
+      ASSERT_EQ(want_label, got_label) << "dim " << dim << " sample " << i;
+      ASSERT_EQ(std::memcmp(want.data(), got.data(), dim * sizeof(float)), 0)
+          << "dim " << dim << " sample " << i;
+    }
+  }
+}
+
+TEST(SyntheticIdentity, MakeSyntheticMatchesPerElementLoop) {
+  for (const SyntheticSpec& spec : identity_specs()) {
+    const std::size_t n = nn::shape_size(spec.sample_shape) > 100 ? 150 : 1500;
+    runtime::Rng want_rng(4242), got_rng(4242);
+    const DataSet want = reference_synthetic(spec, n, want_rng);
+    const DataSet got = make_synthetic(spec, n, got_rng);
+    ASSERT_EQ(want.features().size(), got.features().size());
+    EXPECT_EQ(std::memcmp(want.features().raw(), got.features().raw(),
+                          want.features().size() * sizeof(float)),
+              0)
+        << "shape size " << nn::shape_size(spec.sample_shape);
+    EXPECT_TRUE(std::equal(want.labels().begin(), want.labels().end(),
+                           got.labels().begin()));
+    // The caller's stream continues from the same place.
+    EXPECT_EQ(want_rng.normal(), got_rng.normal());
+    EXPECT_EQ(want_rng.next_u64(), got_rng.next_u64());
+  }
 }
 
 TEST(Dataset, RejectsInvalidConstruction) {
