@@ -1,8 +1,8 @@
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
@@ -11,6 +11,136 @@
 #include "util/check.hpp"
 
 namespace groupfel::nn {
+namespace {
+
+/// Sums each of `rows` contiguous `len`-float rows left to right in double
+/// and hands row r's sum to emit(r, sum). Eight rows advance together so
+/// their independent add chains overlap instead of one latency-bound chain
+/// at a time; each row's own summation order is unchanged.
+template <typename Emit>
+void row_sums(const float* base, std::size_t rows, std::size_t len,
+              Emit&& emit) {
+  constexpr std::size_t kChains = 8;
+  std::size_t r = 0;
+  for (; r + kChains <= rows; r += kChains) {
+    const float* p = base + r * len;
+    double s[kChains] = {};
+    for (std::size_t i = 0; i < len; ++i)
+      for (std::size_t j = 0; j < kChains; ++j)
+        s[j] += static_cast<double>(p[j * len + i]);
+    for (std::size_t j = 0; j < kChains; ++j) emit(r + j, s[j]);
+  }
+  for (; r < rows; ++r) {
+    const float* p = base + r * len;
+    double s = 0.0;
+    for (std::size_t i = 0; i < len; ++i) s += static_cast<double>(p[i]);
+    emit(r, s);
+  }
+}
+
+typedef float v4f __attribute__((vector_size(4 * sizeof(float))));
+typedef float v8f __attribute__((vector_size(8 * sizeof(float))));
+typedef int v4i __attribute__((vector_size(4 * sizeof(int))));
+typedef int v8i __attribute__((vector_size(8 * sizeof(int))));
+
+template <std::size_t L>
+struct PoolLanes;
+template <>
+struct PoolLanes<4> {
+  using F = v4f;
+  using I = v4i;
+};
+template <>
+struct PoolLanes<8> {
+  using F = v8f;
+  using I = v8i;
+};
+
+/// L adjacent 2×2 windows whose top-left corners are r0[0], r0[2], …; the
+/// bottom row is r1. Candidates in (ky, kx) order with a strict `>`
+/// against −inf, exactly as the generic loop, as lane selects over the
+/// rows' even/odd lanes. off receives each winner's offset from its window's
+/// first element, which is also the no-winner fallback.
+template <std::size_t L, std::size_t... J>
+inline void pool2x2_lanes(const float* r0, const float* r1, int w, float* out,
+                          typename PoolLanes<L>::I& off,
+                          std::index_sequence<J...>) {
+  using F = typename PoolLanes<L>::F;
+  using I = typename PoolLanes<L>::I;
+  F lo, hi;
+  std::memcpy(&lo, r0, sizeof(F));
+  std::memcpy(&hi, r0 + L, sizeof(F));
+  const F a = __builtin_shufflevector(lo, hi, static_cast<int>(2 * J)...);
+  const F b = __builtin_shufflevector(lo, hi, static_cast<int>(2 * J + 1)...);
+  std::memcpy(&lo, r1, sizeof(F));
+  std::memcpy(&hi, r1 + L, sizeof(F));
+  const F d = __builtin_shufflevector(lo, hi, static_cast<int>(2 * J)...);
+  const F e = __builtin_shufflevector(lo, hi, static_cast<int>(2 * J + 1)...);
+  F best = F{} - std::numeric_limits<float>::infinity();
+  I m = a > best;
+  best = m ? a : best;
+  off = I{};
+  m = b > best;
+  off = m ? I{} + 1 : off;
+  best = m ? b : best;
+  m = d > best;
+  off = m ? I{} + w : off;
+  best = m ? d : best;
+  m = e > best;
+  off = m ? I{} + (w + 1) : off;
+  best = m ? e : best;
+  std::memcpy(out, &best, sizeof(F));
+}
+
+/// One output row of 2×2 windows: L-window vector steps, then the last
+/// windows one at a time through the same selects.
+template <bool kArgmax, std::size_t L>
+void pool2x2_row(const float* r0, const float* r1, std::size_t w,
+                 std::size_t wo, std::size_t base, float* out,
+                 std::size_t* argmax) {
+  std::size_t ox = 0;
+  for (; ox + L <= wo; ox += L) {
+    typename PoolLanes<L>::I off;
+    pool2x2_lanes<L>(r0 + 2 * ox, r1 + 2 * ox, static_cast<int>(w), out + ox,
+                     off, std::make_index_sequence<L>{});
+    if constexpr (kArgmax)
+      for (std::size_t j = 0; j < L; ++j)
+        argmax[ox + j] =
+            base + 2 * (ox + j) + static_cast<std::size_t>(off[j]);
+  }
+  for (; ox < wo; ++ox) {
+    const float a = r0[2 * ox], b = r0[2 * ox + 1];
+    const float d = r1[2 * ox], e = r1[2 * ox + 1];
+    float best = -std::numeric_limits<float>::infinity();
+    std::size_t off = 0;
+    best = a > best ? a : best;
+    off = b > best ? 1 : off;
+    best = b > best ? b : best;
+    off = d > best ? w : off;
+    best = d > best ? d : best;
+    off = e > best ? w + 1 : off;
+    best = e > best ? e : best;
+    out[ox] = best;
+    if constexpr (kArgmax) argmax[ox] = base + 2 * ox + off;
+  }
+}
+
+/// 2×2 max pooling of `planes` h×w planes into ho×wo (floor pooling: a
+/// trailing odd row or column is never read).
+template <bool kArgmax>
+void pool2x2(const float* in, std::size_t planes, std::size_t h, std::size_t w,
+             std::size_t ho, std::size_t wo, float* out, std::size_t* argmax) {
+  const auto row = wo >= 8 ? &pool2x2_row<kArgmax, 8> : &pool2x2_row<kArgmax, 4>;
+  for (std::size_t p = 0; p < planes; ++p)
+    for (std::size_t oy = 0; oy < ho; ++oy) {
+      const std::size_t base = (p * h + 2 * oy) * w;
+      const std::size_t oi = (p * ho + oy) * wo;
+      row(in + base, in + base + w, w, wo, base, out + oi,
+          kArgmax ? argmax + oi : nullptr);
+    }
+}
+
+}  // namespace
 
 // ---------------- Conv2d ----------------
 
@@ -110,12 +240,9 @@ void Conv2d::backward_impl(const Tensor& grad_out, bool input_grad) {
                   how * sizeof(float));
 
   // db += row sums of dY.
-  for (std::size_t co = 0; co < cout_; ++co) {
-    const float* row = dy.data() + co * ncols;
-    double s = 0.0;
-    for (std::size_t i = 0; i < ncols; ++i) s += static_cast<double>(row[i]);
+  row_sums(dy.data(), cout_, ncols, [&](std::size_t co, double s) {
     grad_b_[co] += static_cast<float>(s);
-  }
+  });
 
   // dW += dY · colsᵀ over the forward's kept im2col matrix, accumulated
   // straight into grad_w_ (the GEMM kernels add into C).
@@ -123,13 +250,11 @@ void Conv2d::backward_impl(const Tensor& grad_out, bool input_grad) {
                    {cols_.data(), 1, ncols}, grad_w_.raw(), sp_);
   if (!input_grad) return;
 
-  // dX = col2im(Wᵀ · dY). col2im accumulates, so the reused buffer must be
-  // zeroed first.
+  // dX = col2im(Wᵀ · dY); col2im writes every element of grad_in_.
   auto gcols = arena.acquire(kdim * ncols);
   detail::gemm(kdim, ncols, cout_, {weight_.raw(), 1, kdim},
                {dy.data(), ncols, 1}, gcols.data(), sp_);
   grad_in_.resize4(n, cin_, h, w);
-  grad_in_.zero();
   detail::col2im(gcols.data(), n, cin_, h, w, k_, pad_, grad_in_.raw());
 }
 
@@ -157,100 +282,6 @@ std::unique_ptr<Layer> Conv2d::clone() const {
   return copy;
 }
 
-// ---------------- Reference oracles ----------------
-//
-// The pre-im2col loop nests. Per output pixel the valid [ky0, ky1) ×
-// [kx0, kx1) kernel window is computed once, so the padding bounds checks
-// that used to sit in the innermost loop are gone but the arithmetic (and
-// float accumulation order of the original forward) is unchanged.
-
-namespace {
-
-/// Valid kernel-offset interval for output coordinate o: the input
-/// coordinate o + kf − pad must land in [0, in).
-inline void kernel_range(std::size_t o, std::size_t in, std::size_t k,
-                         std::size_t pad, std::size_t& k0, std::size_t& k1) {
-  k0 = pad > o ? pad - o : 0;
-  k1 = (in + pad > o) ? std::min(k, in + pad - o) : 0;
-  if (k1 < k0) k1 = k0;
-}
-
-}  // namespace
-
-Tensor conv_reference_forward(const Tensor& x, const Tensor& weight,
-                              const Tensor& bias, std::size_t pad) {
-  const std::size_t n = x.dim(0), cin = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::size_t cout = weight.dim(0), k = weight.dim(2);
-  const std::size_t ho = h + 2 * pad - k + 1, wo = w + 2 * pad - k + 1;
-  Tensor out({n, cout, ho, wo});
-  for (std::size_t ni = 0; ni < n; ++ni) {
-    for (std::size_t co = 0; co < cout; ++co) {
-      const float b = bias[co];
-      for (std::size_t oy = 0; oy < ho; ++oy) {
-        std::size_t ky0, ky1;
-        kernel_range(oy, h, k, pad, ky0, ky1);
-        for (std::size_t ox = 0; ox < wo; ++ox) {
-          std::size_t kx0, kx1;
-          kernel_range(ox, w, k, pad, kx0, kx1);
-          float acc = b;
-          for (std::size_t ci = 0; ci < cin; ++ci) {
-            for (std::size_t ky = ky0; ky < ky1; ++ky) {
-              const std::size_t iy = oy + ky - pad;
-              const float* xrow = x.raw() + ((ni * cin + ci) * h + iy) * w;
-              const float* wrow =
-                  weight.raw() + ((co * cin + ci) * k + ky) * k;
-              for (std::size_t kx = kx0; kx < kx1; ++kx)
-                acc += xrow[ox + kx - pad] * wrow[kx];
-            }
-          }
-          out.at4(ni, co, oy, ox) = acc;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor conv_reference_backward(const Tensor& x, const Tensor& weight,
-                               const Tensor& grad_out, std::size_t pad,
-                               Tensor& grad_w, Tensor& grad_b) {
-  const std::size_t n = x.dim(0), cin = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::size_t cout = weight.dim(0), k = weight.dim(2);
-  const std::size_t ho = grad_out.dim(2), wo = grad_out.dim(3);
-  Tensor grad_in({n, cin, h, w});
-  for (std::size_t ni = 0; ni < n; ++ni) {
-    for (std::size_t co = 0; co < cout; ++co) {
-      for (std::size_t oy = 0; oy < ho; ++oy) {
-        std::size_t ky0, ky1;
-        kernel_range(oy, h, k, pad, ky0, ky1);
-        for (std::size_t ox = 0; ox < wo; ++ox) {
-          const float g = grad_out.at4(ni, co, oy, ox);
-          if (g == 0.0f) continue;
-          grad_b[co] += g;
-          std::size_t kx0, kx1;
-          kernel_range(ox, w, k, pad, kx0, kx1);
-          for (std::size_t ci = 0; ci < cin; ++ci) {
-            for (std::size_t ky = ky0; ky < ky1; ++ky) {
-              const std::size_t iy = oy + ky - pad;
-              const float* xrow = x.raw() + ((ni * cin + ci) * h + iy) * w;
-              float* grow = grad_in.raw() + ((ni * cin + ci) * h + iy) * w;
-              float* gwrow = grad_w.raw() + ((co * cin + ci) * k + ky) * k;
-              const float* wrow =
-                  weight.raw() + ((co * cin + ci) * k + ky) * k;
-              for (std::size_t kx = kx0; kx < kx1; ++kx) {
-                const std::size_t ix = ox + kx - pad;
-                gwrow[kx] += g * xrow[ix];
-                grow[ix] += g * wrow[kx];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_in;
-}
-
 // ---------------- MaxPool2d ----------------
 
 MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {
@@ -268,21 +299,32 @@ const Tensor& MaxPool2d::forward(const Tensor& input, bool train) {
   out_buf_.resize4(n, c, ho, wo);
   Tensor& out = out_buf_;
   if (train) {
-    argmax_.assign(out.size(), 0);
+    argmax_.resize(out.size());  // every slot is written below
     cached_shape_ = input.shape();
   }
+  std::size_t* argmax = train ? argmax_.data() : nullptr;
+  if (window_ == 2) {
+    if (train)
+      pool2x2<true>(input.raw(), n * c, h, w, ho, wo, out.raw(), argmax);
+    else
+      pool2x2<false>(input.raw(), n * c, h, w, ho, wo, out.raw(), argmax);
+    return out;
+  }
+  // Each window keeps its first strictly greater value in (ky, kx) order. A
+  // window with nothing above −inf (all NaN or −inf) yields −inf and routes
+  // its gradient to the window's first element.
   std::size_t oi = 0;
   for (std::size_t ni = 0; ni < n; ++ni)
     for (std::size_t ci = 0; ci < c; ++ci)
       for (std::size_t oy = 0; oy < ho; ++oy)
         for (std::size_t ox = 0; ox < wo; ++ox, ++oi) {
+          const std::size_t first =
+              ((ni * c + ci) * h + oy * window_) * w + ox * window_;
           float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          std::size_t best_idx = first;
           for (std::size_t ky = 0; ky < window_; ++ky)
             for (std::size_t kx = 0; kx < window_; ++kx) {
-              const std::size_t iy = oy * window_ + ky;
-              const std::size_t ix = ox * window_ + kx;
-              const std::size_t flat = ((ni * c + ci) * h + iy) * w + ix;
+              const std::size_t flat = first + ky * w + kx;
               const float v = input[flat];
               if (v > best) {
                 best = v;
@@ -290,7 +332,7 @@ const Tensor& MaxPool2d::forward(const Tensor& input, bool train) {
               }
             }
           out[oi] = best;
-          if (train) argmax_[oi] = best_idx;
+          if (train) argmax[oi] = best_idx;
         }
   return out;
 }
@@ -318,13 +360,10 @@ const Tensor& GlobalAvgPool::forward(const Tensor& input, bool train) {
                     hw = input.dim(2) * input.dim(3);
   out_buf_.resize2(n, c);
   Tensor& out = out_buf_;
-  for (std::size_t ni = 0; ni < n; ++ni)
-    for (std::size_t ci = 0; ci < c; ++ci) {
-      double acc = 0.0;
-      const float* base = input.raw() + (ni * c + ci) * hw;
-      for (std::size_t i = 0; i < hw; ++i) acc += static_cast<double>(base[i]);
-      out.at2(ni, ci) = static_cast<float>(acc / static_cast<double>(hw));
-    }
+  // Row r of the [N·C, H·W] view is out[r]'s plane.
+  row_sums(input.raw(), n * c, hw, [&](std::size_t r, double acc) {
+    out[r] = static_cast<float>(acc / static_cast<double>(hw));
+  });
   if (train) cached_shape_ = input.shape();
   return out;
 }

@@ -103,6 +103,97 @@ void kernel_edge(std::size_t kc, const float* __restrict a,
   }
 }
 
+/// An MT×(NS·NR) tile (MT ≤ MR rows, NS adjacent packed B slivers) that
+/// broadcasts A straight from its rows (a.cs == 1, row stride lda) instead
+/// of from a packed sliver. Each C element takes the same
+/// broadcast-multiply-add per p, in the same order, and the same final add
+/// into C as in kernel_full / kernel_edge, so the result is bit-identical.
+/// What changes is the work around it: no pack_a copy (a strided gather
+/// when A is dY), no zero rows computed for a short edge tile, and with
+/// NS = 2 each A broadcast feeds two FMAs, so a short tile has enough
+/// independent chains to cover the FMA latency. `nr_last` is the width of
+/// the last sliver.
+template <std::size_t MT, std::size_t NS>
+void kernel_rows(std::size_t kc, const float* __restrict a, std::size_t lda,
+                 const float* __restrict b, std::size_t nr_last,
+                 float* __restrict c, std::size_t ldc) {
+  v16f acc[MT][NS] = {};
+  for (std::size_t p = 0; p < kc; ++p) {
+    v16f bv[NS];
+    for (std::size_t q = 0; q < NS; ++q)
+      bv[q] = *reinterpret_cast<const v16f_u*>(b + q * NR * kc + p * NR);
+    for (std::size_t i = 0; i < MT; ++i) {
+      const float av = a[i * lda + p];
+      for (std::size_t q = 0; q < NS; ++q) acc[i][q] += av * bv[q];
+    }
+  }
+  for (std::size_t q = 0; q < NS; ++q) {
+    float* cq = c + q * NR;
+    if (q + 1 < NS || nr_last == NR) {
+      for (std::size_t i = 0; i < MT; ++i) {
+        v16f_u* crow = reinterpret_cast<v16f_u*>(cq + i * ldc);
+        *crow = static_cast<v16f>(*crow) + acc[i][q];
+      }
+    } else {
+      for (std::size_t i = 0; i < MT; ++i) {
+        const float* arow = reinterpret_cast<const float*>(&acc[i][q]);
+        for (std::size_t j = 0; j < nr_last; ++j) cq[i * ldc + j] += arow[j];
+      }
+    }
+  }
+}
+
+template <std::size_t NS>
+void kernel_rows_mr(std::size_t mr, std::size_t kc, const float* a,
+                    std::size_t lda, const float* b, std::size_t nr_last,
+                    float* c, std::size_t ldc) {
+  switch (mr) {
+    case 6: kernel_rows<6, NS>(kc, a, lda, b, nr_last, c, ldc); break;
+    case 5: kernel_rows<5, NS>(kc, a, lda, b, nr_last, c, ldc); break;
+    case 4: kernel_rows<4, NS>(kc, a, lda, b, nr_last, c, ldc); break;
+    case 3: kernel_rows<3, NS>(kc, a, lda, b, nr_last, c, ldc); break;
+    case 2: kernel_rows<2, NS>(kc, a, lda, b, nr_last, c, ldc); break;
+    default: kernel_rows<1, NS>(kc, a, lda, b, nr_last, c, ldc); break;
+  }
+}
+
+// The unpacked-A path is for AVX-512 only. A tile spanning two B slivers
+// holds 2·MR accumulators: 12 of its 32 vector registers, but 24 ymm pairs
+// under AVX2, where they spill and the tile runs ~8× slower than two
+// single-sliver tiles (measured with -march=haswell on an AVX-512 host).
+// With one sliver per tile, broadcasting A from MR strided rows measured
+// ~30% slower than packing it on baseline SSE2 for 256³. Other ISAs keep
+// the packed path.
+#if defined(__AVX512F__)
+constexpr bool kUnpackedA = true;
+#else
+constexpr bool kUnpackedA = false;
+#endif
+
+/// Row panel for a row-contiguous A: kernel_rows reads A in place, two B
+/// slivers at a time while two remain.
+void run_row_panel_direct(MatView a, std::size_t ic, std::size_t mc,
+                          std::size_t pc, std::size_t kc, const float* b_pack,
+                          std::size_t jc, std::size_t nc, float* c,
+                          std::size_t ldc) {
+  for (std::size_t jr = 0; jr < nc;) {
+    const float* bp = b_pack + (jr / NR) * (NR * kc);
+    const bool pair = jr + NR < nc;
+    const std::size_t width = std::min(pair ? 2 * NR : NR, nc - jr);
+    const std::size_t nr_last = width - (pair ? NR : 0);
+    for (std::size_t ir = 0; ir < mc; ir += MR) {
+      const std::size_t mr = std::min(MR, mc - ir);
+      const float* ap = a.p + (ic + ir) * a.rs + pc;
+      float* cp = c + (ic + ir) * ldc + jc + jr;
+      if (pair)
+        kernel_rows_mr<2>(mr, kc, ap, a.rs, bp, nr_last, cp, ldc);
+      else
+        kernel_rows_mr<1>(mr, kc, ap, a.rs, bp, nr_last, cp, ldc);
+    }
+    jr += width;
+  }
+}
+
 #else  // portable scalar fallback (non-GNU compilers)
 
 void kernel_full(std::size_t kc, const float* __restrict a,
@@ -252,6 +343,12 @@ void pack_b(MatView b, std::size_t p0, std::size_t kc, std::size_t j0,
 void run_row_panel(MatView a, std::size_t ic, std::size_t mc, std::size_t pc,
                    std::size_t kc, const float* b_pack, std::size_t jc,
                    std::size_t nc, float* c, std::size_t ldc) {
+#ifdef GROUPFEL_GEMM_VECTOR_EXT
+  if (kUnpackedA && a.cs == 1) {
+    run_row_panel_direct(a, ic, mc, pc, kc, b_pack, jc, nc, c, ldc);
+    return;
+  }
+#endif
   auto a_buf =
       runtime::WorkspaceArena::local().acquire(ceil_div(mc, MR) * MR * kc);
   pack_a(a, ic, mc, pc, kc, a_buf.data());
@@ -377,7 +474,12 @@ void gemm_skinny(std::size_t m, std::size_t n, std::size_t k, MatView a,
   }
 }
 
-inline float hsum(v16f v) {
+/// Takes a reference (a by-value 64-byte vector trips -Wpsabi in portable
+/// builds) but sums a local copy: this TU is built with -ffast-math, and
+/// the copy keeps the reduction's code, and so its rounding, what it was
+/// when the vector came by value. Summing through the reference reorders it.
+inline float hsum(const v16f& acc) {
+  const v16f v = acc;
   const float* lanes = reinterpret_cast<const float*>(&v);
   float s = 0.0f;
   for (std::size_t l = 0; l < NR; ++l) s += lanes[l];
@@ -592,10 +694,15 @@ void gemm_rounded_copy(std::size_t m, std::size_t n, std::size_t k, MatView a,
 
 namespace hv = util::half::simd;
 
+/// Out-parameter rather than a vector return: a by-value 64-byte vector
+/// changes the ABI between ISA levels, which -Wpsabi rejects in portable
+/// (non-native) builds.
 template <StoragePrecision SP>
-inline hv::v16f expand16(const std::uint16_t* p) {
-  if constexpr (SP == StoragePrecision::kBf16) return hv::expand_bf16(p);
-  return hv::expand_fp16(p);
+inline void expand16(const std::uint16_t* p, hv::v16f& out) {
+  if constexpr (SP == StoragePrecision::kBf16)
+    hv::expand_bf16(p, out);
+  else
+    hv::expand_fp16(p, out);
 }
 
 /// Full MR×NR tile over a half-width packed B sliver. The A sliver holds
@@ -609,7 +716,8 @@ void kernel_full_h(std::size_t kc, const float* __restrict a,
                    std::size_t ldc) {
   hv::v16f acc0{}, acc1{}, acc2{}, acc3{}, acc4{}, acc5{};
   for (std::size_t p = 0; p < kc; ++p) {
-    const hv::v16f bv = expand16<SP>(b + p * NR);
+    hv::v16f bv;
+    expand16<SP>(b + p * NR, bv);
     const float* __restrict ap = a + p * MR;
     acc0 += ap[0] * bv;
     acc1 += ap[1] * bv;
@@ -631,7 +739,8 @@ void kernel_edge_h(std::size_t kc, const float* __restrict a,
                    std::size_t nr, float* __restrict c, std::size_t ldc) {
   hv::v16f acc0{}, acc1{}, acc2{}, acc3{}, acc4{}, acc5{};
   for (std::size_t p = 0; p < kc; ++p) {
-    const hv::v16f bv = expand16<SP>(b + p * NR);
+    hv::v16f bv;
+    expand16<SP>(b + p * NR, bv);
     const float* __restrict ap = a + p * MR;
     acc0 += ap[0] * bv;
     acc1 += ap[1] * bv;

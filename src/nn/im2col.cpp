@@ -1,48 +1,157 @@
 #include "nn/im2col.hpp"
 
-#include <algorithm>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 namespace groupfel::nn::detail {
 namespace {
 
-/// Valid output-pixel interval [lo, hi) for one kernel offset kf along an
-/// axis of input extent `in` (out extent `out`): in-coordinate o + kf − pad
-/// must land in [0, in). Both ends are clamped to [0, out], so an empty
-/// interval never points past the end of an output row.
-inline void valid_range(std::size_t out, std::size_t in, std::size_t kf,
-                        std::size_t pad, std::size_t& lo, std::size_t& hi) {
-  lo = std::min(out, pad > kf ? pad - kf : 0);
-  hi = (in + pad > kf) ? std::min(out, in + pad - kf) : 0;
-  if (hi < lo) hi = lo;
+/// Every (ky, kx) tap of one plane: tap (ky, kx) of output row oy is the
+/// padded-plane row oy + ky, columns [kx, kx + wo), copied as one span.
+/// `dst` is the plane's block in tap (0, 0); tap t's block sits t·ncols on.
+/// W != 0 fixes the row length at compile time (the CNN5/ResNet3 plane
+/// widths), so each row copy is a couple of vector moves; W == 0 uses the
+/// runtime `wo_rt`.
+template <std::size_t W>
+void copy_taps(const float* padded, std::size_t wp, std::size_t ho,
+               std::size_t wo_rt, std::size_t k, std::size_t ncols,
+               float* dst) {
+  const std::size_t wo = W != 0 ? W : wo_rt;
+  for (std::size_t ky = 0; ky < k; ++ky)
+    for (std::size_t kx = 0; kx < k; ++kx) {
+      const float* src = padded + ky * wp + kx;
+      float* d = dst + (ky * k + kx) * ncols;
+      for (std::size_t oy = 0; oy < ho; ++oy)
+        std::memcpy(d + oy * wo, src + oy * wp, wo * sizeof(float));
+    }
 }
 
-/// One (ci, ky, kx, n) block of "same"-padded im2col (wo == w, so ho == h,
-/// and the block is shaped like the h×w input plane): output pixel (oy, ox)
-/// reads input (oy + ky − pad, ox + kx − pad), a constant offset in the
-/// flattened plane. The valid rows are therefore one contiguous copy; the
-/// pixels of those rows outside [ox0, ox1) picked up neighbouring-row values
-/// and are cleared afterwards.
-void im2col_same_block(const float* plane, std::size_t h, std::size_t w,
-                       std::size_t ky, std::size_t kx, std::size_t pad,
-                       std::size_t oy0, std::size_t oy1, std::size_t ox0,
-                       std::size_t ox1, float* dst) {
-  const std::size_t hw = h * w;
-  if (oy0 == oy1 || ox0 == ox1) {
-    std::memset(dst, 0, hw * sizeof(float));
-    return;
+typedef float v4f __attribute__((vector_size(4 * sizeof(float))));
+typedef float v8f __attribute__((vector_size(8 * sizeof(float))));
+typedef float v16f __attribute__((vector_size(16 * sizeof(float))));
+
+/// W float lanes: one plane row (GNU vector extension; an attribute on an
+/// alias template would be dropped, hence the specializations).
+template <std::size_t W>
+struct RowVec;
+template <>
+struct RowVec<4> {
+  using type = v4f;
+};
+template <>
+struct RowVec<8> {
+  using type = v8f;
+};
+template <>
+struct RowVec<16> {
+  using type = v16f;
+};
+template <std::size_t W>
+using Row = typename RowVec<W>::type;
+
+/// acc[ix] += row[ix + S] for ix + S in [0, W), += +0 elsewhere: one tap
+/// row shifted in registers, its out-of-row lanes filled from a zero
+/// vector. Vectors travel by reference only (no vector-ABI crossings).
+template <std::size_t W, int S, std::size_t... I>
+inline void add_shifted(Row<W>& acc, const float* row,
+                        std::index_sequence<I...>) {
+  using F = Row<W>;
+  constexpr int kW = static_cast<int>(W);
+  F v;
+  std::memcpy(&v, row, sizeof(v));
+  if constexpr (S == 0) {
+    acc += v;
+  } else {
+    acc += __builtin_shufflevector(
+        v, F{},
+        (static_cast<int>(I) + S >= 0 && static_cast<int>(I) + S < kW
+             ? static_cast<int>(I) + S
+             : kW)...);
   }
-  std::memset(dst, 0, oy0 * w * sizeof(float));
-  const std::size_t first = oy0 * w + ox0;
-  const std::size_t last = (oy1 - 1) * w + ox1;
-  std::memcpy(dst + first, plane + (oy0 + ky - pad) * w + (ox0 + kx - pad),
-              (last - first) * sizeof(float));
-  for (std::size_t oy = oy0; oy < oy1; ++oy) {
-    float* drow = dst + oy * w;
-    for (std::size_t ox = 0; ox < ox0; ++ox) drow[ox] = 0.0f;
-    for (std::size_t ox = ox1; ox < w; ++ox) drow[ox] = 0.0f;
+}
+
+/// Taps kx = 0 … 2P of one kernel row, added in kx order; `row` is tap
+/// (ky, 0)'s output row, tap (ky, kx)'s is kx·ncols on.
+template <std::size_t W, int P, int... KX>
+inline void add_kernel_row(Row<W>& acc, const float* row,
+                           std::size_t ncols,
+                           std::integer_sequence<int, KX...>) {
+  (add_shifted<W, P - KX>(acc, row + static_cast<std::size_t>(KX) * ncols,
+                          std::make_index_sequence<W>{}),
+   ...);
+}
+
+/// Gather col2im for "same" convolution on W-wide planes (w == wo == W,
+/// k == 2P + 1): each input row sums its taps in a register, in (ky, kx)
+/// order from +0, and is stored once. Taps whose output row is out of range
+/// are skipped; taps whose column falls in the padding add +0, which is
+/// exact because an accumulator starting at +0 never becomes −0.
+template <std::size_t W, int P>
+void col2im_same(const float* cols, std::size_t n, std::size_t c,
+                 std::size_t h, float* grad_x) {
+  constexpr std::size_t k = 2 * P + 1;
+  const std::size_t how = h * W, ncols = n * how;
+  for (std::size_t ni = 0; ni < n; ++ni)
+    for (std::size_t ci = 0; ci < c; ++ci) {
+      const float* taps = cols + ci * k * k * ncols + ni * how;
+      float* plane = grad_x + (ni * c + ci) * how;
+      for (std::size_t iy = 0; iy < h; ++iy) {
+        Row<W> acc{};
+        for (std::size_t ky = 0; ky < k; ++ky) {
+          const std::size_t oy = iy + P - ky;  // wraps when iy + P < ky
+          if (oy >= h) continue;
+          add_kernel_row<W, P>(acc, taps + ky * k * ncols + oy * W, ncols,
+                               std::make_integer_sequence<int, k>{});
+        }
+        std::memcpy(plane + iy * W, &acc, sizeof(acc));
+      }
+    }
+}
+
+template <std::size_t W>
+bool col2im_dispatch_pad(const float* cols, std::size_t n, std::size_t c,
+                         std::size_t h, std::size_t pad, float* grad_x) {
+  switch (pad) {
+    case 0:
+      col2im_same<W, 0>(cols, n, c, h, grad_x);
+      return true;
+    case 1:
+      col2im_same<W, 1>(cols, n, c, h, grad_x);
+      return true;
+    case 2:
+      col2im_same<W, 2>(cols, n, c, h, grad_x);
+      return true;
+    default:
+      return false;
   }
-  std::memset(dst + oy1 * w, 0, (hw - oy1 * w) * sizeof(float));
+}
+
+/// Scatter col2im for every other shape: zero each plane, then add the
+/// valid span of every (ky, kx) tap row, in (ky, kx) order.
+void col2im_generic(const float* cols, std::size_t n, std::size_t c,
+                    std::size_t h, std::size_t w, std::size_t k,
+                    std::size_t pad, float* grad_x) {
+  const std::size_t ho = conv_out_dim(h, k, pad);
+  const std::size_t wo = conv_out_dim(w, k, pad);
+  const std::size_t how = ho * wo, ncols = n * how;
+  for (std::size_t ni = 0; ni < n; ++ni)
+    for (std::size_t ci = 0; ci < c; ++ci) {
+      float* plane = grad_x + (ni * c + ci) * h * w;
+      std::memset(plane, 0, h * w * sizeof(float));
+      for (std::size_t ky = 0; ky < k; ++ky)
+        for (std::size_t kx = 0; kx < k; ++kx) {
+          const float* tap = cols + ((ci * k + ky) * k + kx) * ncols + ni * how;
+          // Output (oy, ox) lands on input (oy + ky − pad, ox + kx − pad).
+          const std::size_t oy0 = pad > ky ? pad - ky : 0;
+          const std::size_t ox0 = pad > kx ? pad - kx : 0;
+          for (std::size_t oy = oy0; oy < ho && oy + ky < h + pad; ++oy) {
+            float* drow = plane + (oy + ky - pad) * w;
+            for (std::size_t ox = ox0; ox < wo && ox + kx < w + pad; ++ox)
+              drow[ox + kx - pad] += tap[oy * wo + ox];
+          }
+        }
+    }
 }
 
 }  // namespace
@@ -51,66 +160,39 @@ void im2col(const float* x, std::size_t n, std::size_t c, std::size_t h,
             std::size_t w, std::size_t k, std::size_t pad, float* cols) {
   const std::size_t ho = conv_out_dim(h, k, pad);
   const std::size_t wo = conv_out_dim(w, k, pad);
-  const std::size_t ncols = n * ho * wo;
-  for (std::size_t ci = 0; ci < c; ++ci) {
-    for (std::size_t ky = 0; ky < k; ++ky) {
-      std::size_t oy0, oy1;
-      valid_range(ho, h, ky, pad, oy0, oy1);
-      for (std::size_t kx = 0; kx < k; ++kx) {
-        std::size_t ox0, ox1;
-        valid_range(wo, w, kx, pad, ox0, ox1);
-        float* dst = cols + ((ci * k + ky) * k + kx) * ncols;
-        for (std::size_t ni = 0; ni < n; ++ni) {
-          const float* plane = x + (ni * c + ci) * h * w;
-          if (wo == w) {
-            im2col_same_block(plane, h, w, ky, kx, pad, oy0, oy1, ox0, ox1,
-                              dst + ni * ho * wo);
-            continue;
-          }
-          for (std::size_t oy = 0; oy < ho; ++oy) {
-            float* drow = dst + (ni * ho + oy) * wo;
-            if (oy < oy0 || oy >= oy1 || ox0 == ox1) {
-              std::memset(drow, 0, wo * sizeof(float));
-              continue;
-            }
-            const std::size_t iy = oy + ky - pad;
-            const float* srow = plane + iy * w + (ox0 + kx - pad);
-            std::memset(drow, 0, ox0 * sizeof(float));
-            std::memcpy(drow + ox0, srow, (ox1 - ox0) * sizeof(float));
-            std::memset(drow + ox1, 0, (wo - ox1) * sizeof(float));
-          }
-        }
+  const std::size_t hp = h + 2 * pad, wp = w + 2 * pad;
+  const std::size_t how = ho * wo, ncols = n * how;
+  auto copy = &copy_taps<0>;
+  if (wo == 4) copy = &copy_taps<4>;
+  if (wo == 8) copy = &copy_taps<8>;
+  if (wo == 16) copy = &copy_taps<16>;
+  // The zero border is written once per call; each plane overwrites only
+  // the interior.
+  thread_local std::vector<float> padded;
+  if (pad != 0) padded.assign(hp * wp, 0.0f);
+  for (std::size_t ni = 0; ni < n; ++ni)
+    for (std::size_t ci = 0; ci < c; ++ci) {
+      const float* plane = x + (ni * c + ci) * h * w;
+      if (pad != 0) {
+        for (std::size_t y = 0; y < h; ++y)
+          std::memcpy(padded.data() + (y + pad) * wp + pad, plane + y * w,
+                      w * sizeof(float));
+        plane = padded.data();
       }
+      copy(plane, wp, ho, wo, k, ncols, cols + ci * k * k * ncols + ni * how);
     }
-  }
 }
 
 void col2im(const float* cols, std::size_t n, std::size_t c, std::size_t h,
             std::size_t w, std::size_t k, std::size_t pad, float* grad_x) {
-  const std::size_t ho = conv_out_dim(h, k, pad);
-  const std::size_t wo = conv_out_dim(w, k, pad);
-  const std::size_t ncols = n * ho * wo;
-  for (std::size_t ci = 0; ci < c; ++ci) {
-    for (std::size_t ky = 0; ky < k; ++ky) {
-      std::size_t oy0, oy1;
-      valid_range(ho, h, ky, pad, oy0, oy1);
-      for (std::size_t kx = 0; kx < k; ++kx) {
-        std::size_t ox0, ox1;
-        valid_range(wo, w, kx, pad, ox0, ox1);
-        const float* src = cols + ((ci * k + ky) * k + kx) * ncols;
-        for (std::size_t ni = 0; ni < n; ++ni) {
-          float* plane = grad_x + (ni * c + ci) * h * w;
-          for (std::size_t oy = oy0; oy < oy1; ++oy) {
-            const std::size_t iy = oy + ky - pad;
-            const float* srow = src + (ni * ho + oy) * wo + ox0;
-            float* drow = plane + iy * w + (ox0 + kx - pad);
-            const std::size_t len = ox1 - ox0;
-            for (std::size_t i = 0; i < len; ++i) drow[i] += srow[i];
-          }
-        }
-      }
-    }
+  if (conv_out_dim(w, k, pad) == w) {  // "same": k == 2·pad + 1, ho == h
+    bool done = false;
+    if (w == 4) done = col2im_dispatch_pad<4>(cols, n, c, h, pad, grad_x);
+    if (w == 8) done = col2im_dispatch_pad<8>(cols, n, c, h, pad, grad_x);
+    if (w == 16) done = col2im_dispatch_pad<16>(cols, n, c, h, pad, grad_x);
+    if (done) return;
   }
+  col2im_generic(cols, n, c, h, w, k, pad, grad_x);
 }
 
 }  // namespace groupfel::nn::detail

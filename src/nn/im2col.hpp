@@ -5,12 +5,13 @@
 // ((c·k + ky)·k + kx), matching the [Cout, Cin, k, k] weight layout
 // flattened to [Cout, Cin·k·k].
 //
-// Both directions hoist the padding bounds out of the pixel loops: per
-// (ky, kx) the valid output-pixel range is computed once and the interior
-// is a contiguous span copy (im2col) or span accumulate (col2im). For
-// "same" padding (Wo == W) the valid rows of one (c, ky, kx, n) plane sit
-// at a constant offset from the input plane, so im2col copies them in one
-// span and then clears the out-of-row columns.
+// Both directions work one (n, c) input plane at a time. im2col copies the
+// plane into a zero-bordered padded plane, so every (ky, kx) tap is a set
+// of whole output rows of it, copied with no bounds logic (compile-time row
+// lengths for Wo ∈ {4, 8, 16}). col2im gathers: for "same" convolution on
+// 4-, 8- or 16-wide planes each input row sums its taps, shifted in
+// registers, in (ky, kx) order and is stored once; other shapes zero the
+// plane and accumulate the valid spans in the same order.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +29,9 @@ inline std::size_t conv_out_dim(std::size_t in, std::size_t k,
 void im2col(const float* x, std::size_t n, std::size_t c, std::size_t h,
             std::size_t w, std::size_t k, std::size_t pad, float* cols);
 
-/// Folds cols[c·k·k, n·ho·wo] back, accumulating overlapping contributions
-/// into grad_x[n, c, h, w]. grad_x must be zeroed by the caller.
+/// Folds cols[c·k·k, n·ho·wo] back into grad_x[n, c, h, w], which it
+/// overwrites: each element is +0 plus its overlapping contributions, added
+/// in (ky, kx) order.
 void col2im(const float* cols, std::size_t n, std::size_t c, std::size_t h,
             std::size_t w, std::size_t k, std::size_t pad, float* grad_x);
 

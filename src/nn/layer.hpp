@@ -12,8 +12,10 @@
 // constructions (see nn::tensor_construction_count()).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "nn/tensor.hpp"
 #include "runtime/rng.hpp"
@@ -122,7 +124,7 @@ class ReLU final : public Layer {
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor cached_input_;
+  std::vector<std::uint8_t> blocked_;  // x <= 0 per element (train forward)
   Tensor out_buf_, grad_in_;
 };
 
@@ -204,7 +206,10 @@ class Conv2d final : public Layer {
                                              std::size_t pad, Tensor& grad_w,
                                              Tensor& grad_b);
 
-/// Non-overlapping max pooling with square window.
+/// Non-overlapping max pooling with square window. Each window keeps its
+/// maximum, the first in row-major order on ties (NaN never wins). A window
+/// with nothing above −inf (all NaN or −inf) outputs −inf and routes its
+/// gradient to its own first element.
 class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::size_t window);

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdint>
 
 #include "nn/layer.hpp"
 #include "util/check.hpp"
@@ -89,21 +90,37 @@ std::unique_ptr<Layer> Linear::clone() const {
 
 // ---------------- ReLU ----------------
 
+// One pass each way. Training caches the backward test `x <= 0` as one byte
+// per element rather than a copy of x: NaN fails both `x > 0` and `x <= 0`,
+// so a NaN input clamps to 0 forward yet passes its gradient backward.
 const Tensor& ReLU::forward(const Tensor& input, bool train) {
-  out_buf_ = input;
-  for (auto& v : out_buf_.data()) v = v > 0.0f ? v : 0.0f;
-  if (train) cached_input_ = input;
+  out_buf_.resize(input.shape());
+  const float* x = input.raw();
+  float* y = out_buf_.raw();
+  const std::size_t size = input.size();
+  if (train) {
+    blocked_.resize(size);
+    std::uint8_t* blocked = blocked_.data();
+    for (std::size_t i = 0; i < size; ++i) {
+      const float v = x[i];
+      y[i] = v > 0.0f ? v : 0.0f;
+      blocked[i] = v <= 0.0f;
+    }
+  } else {
+    for (std::size_t i = 0; i < size; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  }
   return out_buf_;
 }
 
 const Tensor& ReLU::backward(const Tensor& grad_out) {
-  GF_CHECK_EQ(cached_input_.size(), grad_out.size(),
+  GF_CHECK_EQ(blocked_.size(), grad_out.size(),
               "ReLU::backward shape mismatch");
-  grad_in_ = grad_out;
-  const auto xs = cached_input_.data();
-  auto gs = grad_in_.data();
-  for (std::size_t i = 0; i < gs.size(); ++i)
-    if (xs[i] <= 0.0f) gs[i] = 0.0f;
+  grad_in_.resize(grad_out.shape());
+  const std::uint8_t* blocked = blocked_.data();
+  const float* g = grad_out.raw();
+  float* gi = grad_in_.raw();
+  const std::size_t size = grad_out.size();
+  for (std::size_t i = 0; i < size; ++i) gi[i] = blocked[i] ? 0.0f : g[i];
   return grad_in_;
 }
 

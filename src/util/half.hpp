@@ -159,12 +159,9 @@ inline void decode_fp16(const std::uint16_t* src, std::span<float> dst) noexcept
 #include <immintrin.h>
 #endif
 
-// These helpers are inline and only ever called within a single kernel TU,
-// so the vector-return ABI GCC warns about (-Wpsabi) can never be observed
-// across TU boundaries; silence it for TUs built without wide-vector ISA.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
-
+// The helpers write through an out-parameter: a 64-byte vector passed or
+// returned by value changes the calling convention between ISA levels,
+// which -Wpsabi flags in portable (non-native) builds.
 namespace groupfel::util::half::simd {
 
 typedef float v16f __attribute__((vector_size(16 * sizeof(float))));
@@ -178,18 +175,16 @@ typedef std::uint32_t v16u32
     __attribute__((vector_size(16 * sizeof(std::uint32_t))));
 
 /// 16 bf16 values expanded to fp32 lanes (widen + shift; exact).
-inline v16f expand_bf16(const std::uint16_t* p) noexcept {
+inline void expand_bf16(const std::uint16_t* p, v16f& out) noexcept {
   const v16u16 h = *reinterpret_cast<const v16u16*>(p);
   v16u32 w = __builtin_convertvector(h, v16u32);
   w = w << 16;
-  v16f f;
-  std::memcpy(&f, &w, sizeof(f));
-  return f;
+  std::memcpy(&out, &w, sizeof(out));
 }
 
 /// 16 fp16 values expanded to fp32 lanes. With F16C this is one VCVTPH2PS;
 /// the scalar fallback produces identical bits (exact conversion).
-inline v16f expand_fp16(const std::uint16_t* p) noexcept {
+inline void expand_fp16(const std::uint16_t* p, v16f& out) noexcept {
 #if defined(__F16C__) && defined(__AVX512F__)
   // maskz variant: same VCVTPH2PS, but avoids the _mm512_undefined_ps()
   // idiom inside plain _mm512_cvtph_ps that GCC's -Wmaybe-uninitialized
@@ -197,18 +192,12 @@ inline v16f expand_fp16(const std::uint16_t* p) noexcept {
   const __m512 w = _mm512_maskz_cvtph_ps(
       static_cast<__mmask16>(0xffff),
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-  v16f f;
-  std::memcpy(&f, &w, sizeof(f));
-  return f;
+  std::memcpy(&out, &w, sizeof(out));
 #else
-  v16f f;
-  for (std::size_t l = 0; l < 16; ++l) f[l] = from_fp16_bits(p[l]);
-  return f;
+  for (std::size_t l = 0; l < 16; ++l) out[l] = from_fp16_bits(p[l]);
 #endif
 }
 
 }  // namespace groupfel::util::half::simd
-
-#pragma GCC diagnostic pop
 
 #endif  // __GNUC__ || __clang__

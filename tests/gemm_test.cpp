@@ -161,5 +161,60 @@ TEST(GemmEquivalence, BlockedPathBitIdenticalAcrossBLayouts) {
   }
 }
 
+TEST(GemmEquivalence, BlockedPathBitIdenticalAcrossALayouts) {
+  // On AVX-512 builds a row-contiguous A (cs == 1) skips pack_a:
+  // kernel_rows broadcasts it in place, two B slivers per tile. A transposed
+  // or strided A is packed and runs the MR×NR kernels. Both give every C element the same multiply-add
+  // sequence, so gemm and gemm_acc must agree bit for bit. B is stored
+  // transposed, as in the conv weight gradient, so every layout takes the
+  // blocked path (every shape is above the dot-product cutoff, which would
+  // take the row-contiguous A alone). The shapes cover conv1's dW (m = 8: a
+  // 6-row and a 2-row tile, a full and an 11-wide sliver, 16 KC chunks), odd
+  // row and sliver counts with a ragged KC chunk, and a single sliver.
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  for (const Shape s : {Shape{8, 27, 4096}, Shape{13, 53, 300},
+                        Shape{7, 16, 1200}, Shape{32, 144, 256}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << s.m << " n=" << s.n << " k=" << s.k);
+    runtime::Rng rng(s.m * 13 + s.n * 7 + s.k);
+    std::vector<float> rows(s.m * s.k), cols(s.k * s.m), strided(s.m * s.k * 2),
+        b(s.n * s.k), c0(s.m * s.n);
+    for (std::size_t i = 0; i < s.m; ++i)
+      for (std::size_t p = 0; p < s.k; ++p) {
+        const auto v = static_cast<float>(rng.normal());
+        rows[i * s.k + p] = v;
+        cols[p * s.m + i] = v;
+        strided[(i * s.k + p) * 2] = v;
+      }
+    for (auto& v : b) v = static_cast<float>(rng.normal());
+    for (auto& v : c0) v = static_cast<float>(rng.normal());
+    const detail::MatView bv{b.data(), 1, s.k};
+    const auto product = [&](detail::MatView a, bool acc) {
+      std::vector<float> c = c0;
+      if (acc)
+        detail::gemm_acc(s.m, s.n, s.k, a, bv, c.data());
+      else
+        detail::gemm(s.m, s.n, s.k, a, bv, c.data());
+      return c;
+    };
+    for (const bool acc : {false, true}) {
+      const std::vector<float> direct = product({rows.data(), s.k, 1}, acc);
+      const std::vector<float> packed = product({cols.data(), 1, s.m}, acc);
+      const std::vector<float> gathered =
+          product({strided.data(), 2 * s.k, 2}, acc);
+      ASSERT_EQ(std::memcmp(direct.data(), packed.data(),
+                            direct.size() * sizeof(float)),
+                0)
+          << "acc=" << acc;
+      ASSERT_EQ(std::memcmp(direct.data(), gathered.data(),
+                            direct.size() * sizeof(float)),
+                0)
+          << "acc=" << acc;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace groupfel::nn

@@ -188,8 +188,9 @@ TEST(Half, SimdExpandMatchesScalar) {
     b[i] = to_bf16_bits(src[i]);
     h[i] = to_fp16_bits(src[i]);
   }
-  const simd::v16f eb = simd::expand_bf16(b);
-  const simd::v16f eh = simd::expand_fp16(h);
+  simd::v16f eb, eh;
+  simd::expand_bf16(b, eb);
+  simd::expand_fp16(h, eh);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_EQ(eb[i], from_bf16_bits(b[i]));
     EXPECT_EQ(eh[i], from_fp16_bits(h[i]));

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "nn/gradcheck.hpp"
 #include "nn/models.hpp"
 
@@ -85,6 +89,43 @@ TEST(ReLU, GradientMasksNegatives) {
   EXPECT_EQ(gi[2], 5.0f);
 }
 
+TEST(ReLU, ByteIdenticalToCopyThenMaskOracle) {
+  // Verbatim oracle: forward copies x and clamps with `v > 0 ? v : 0`;
+  // backward copies dY and zeroes where `x <= 0`. NaN fails both tests, so
+  // it clamps to +0 forward and still passes its gradient backward.
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> xs = {-1.0f, 0.0f, -0.0f, 2.0f, inf, -inf,
+                                 std::nanf("1"), -std::nanf("2"), 3.5f,
+                                 -2.5f, 1e-40f, -1e-40f, 7.0f};
+  runtime::Rng rng(31);
+  for (const std::size_t size : {std::size_t{1}, std::size_t{13},
+                                 std::size_t{100}, std::size_t{1031}}) {
+    SCOPED_TRACE(::testing::Message() << "size=" << size);
+    Tensor x({1, size}), g({1, size});
+    for (std::size_t i = 0; i < size; ++i) {
+      x[i] = rng.next_below(3) == 0 ? xs[rng.next_below(xs.size())]
+                                    : static_cast<float>(rng.normal());
+      g[i] = rng.next_below(4) == 0 ? xs[rng.next_below(xs.size())]
+                                    : static_cast<float>(rng.normal());
+    }
+    Tensor want_y = x;
+    for (auto& v : want_y.data()) v = v > 0.0f ? v : 0.0f;
+    Tensor want_gi = g;
+    for (std::size_t i = 0; i < size; ++i)
+      if (x[i] <= 0.0f) want_gi[i] = 0.0f;
+
+    ReLU relu;
+    const Tensor eval = relu.forward(x, false);
+    ASSERT_EQ(eval.shape(), x.shape());
+    EXPECT_EQ(std::memcmp(eval.raw(), want_y.raw(), size * sizeof(float)), 0);
+    const Tensor y = relu.forward(x, true);
+    EXPECT_EQ(std::memcmp(y.raw(), want_y.raw(), size * sizeof(float)), 0);
+    const Tensor gi = relu.backward(g);
+    ASSERT_EQ(gi.shape(), g.shape());
+    EXPECT_EQ(std::memcmp(gi.raw(), want_gi.raw(), size * sizeof(float)), 0);
+  }
+}
+
 TEST(Flatten, RoundTripsShape) {
   Flatten flat;
   Tensor x({2, 3, 4, 5});
@@ -145,6 +186,42 @@ TEST(MaxPool2d, GradientFlowsToArgmaxOnly) {
   EXPECT_EQ(gi[1], 7.0f);
   EXPECT_EQ(gi[2], 0.0f);
   EXPECT_EQ(gi[3], 0.0f);
+}
+
+TEST(MaxPool2d, WindowWithoutCandidateRoutesGradientToItsFirstElement) {
+  // Sample 1 holds an all-NaN window and an all-−inf window. Nothing beats
+  // the −inf start, so both output −inf; their gradient must land on the
+  // window's own first element, never on sample 0's pixel (0, 0).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  for (const std::size_t window : {std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE(::testing::Message() << "window=" << window);
+    const std::size_t side = 2 * window;
+    Tensor x({2, 1, side, side});
+    for (std::size_t i = 0; i < x.size(); ++i)
+      x[i] = static_cast<float>(i % 7) - 3.0f;
+    const std::size_t plane = side * side;
+    for (std::size_t ky = 0; ky < window; ++ky)
+      for (std::size_t kx = 0; kx < window; ++kx) {
+        x[plane + ky * side + kx] = nan;                  // window (0, 0)
+        x[plane + ky * side + window + kx] = ninf;        // window (0, 1)
+      }
+    MaxPool2d pool(window);
+    const Tensor y = pool.forward(x, true);
+    EXPECT_EQ(y.at4(1, 0, 0, 0), ninf);
+    EXPECT_EQ(y.at4(1, 0, 0, 1), ninf);
+    Tensor g({2, 1, 2, 2});
+    g.zero();
+    g.at4(1, 0, 0, 0) = 5.0f;
+    g.at4(1, 0, 0, 1) = 7.0f;
+    const Tensor gi = pool.backward(g);
+    EXPECT_EQ(gi[0], 0.0f) << "gradient leaked into sample 0";
+    EXPECT_EQ(gi.at4(1, 0, 0, 0), 5.0f);
+    EXPECT_EQ(gi.at4(1, 0, 0, window), 7.0f);
+    float total = 0.0f;
+    for (const float v : gi.data()) total += v;
+    EXPECT_EQ(total, 12.0f);
+  }
 }
 
 TEST(GlobalAvgPool, Averages) {
