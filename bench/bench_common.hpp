@@ -24,6 +24,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -63,30 +64,53 @@ inline core::SweepBackend parse_backend(const std::string& name) {
   std::exit(2);
 }
 
+/// Checks a parsed count against its lower bound (seeds and rounds need at
+/// least 1; workers and threads at least 0) and narrows it to size_t.
+inline std::size_t checked_count(const std::string& name, std::int64_t value,
+                                 std::int64_t min) {
+  if (value < min)
+    throw std::invalid_argument(name + ": must be >= " + std::to_string(min) +
+                                ", got " + std::to_string(value));
+  return static_cast<std::size_t>(value);
+}
+
+inline std::size_t env_count(const std::string& name, const char* text,
+                             std::int64_t min) {
+  return checked_count(name, util::parse_int(name, text), min);
+}
+
+/// --name as a count: the flag when given (bounds-checked), else `fallback`.
+inline std::size_t flag_count(const util::Flags& flags,
+                              const std::string& name, std::size_t fallback,
+                              std::int64_t min) {
+  if (!flags.has(name)) return fallback;
+  return checked_count("--" + name, flags.get_int(name, 0), min);
+}
+
 inline BenchOptions& options() {
   static BenchOptions opts = [] {
     BenchOptions o;
     if (const char* env = std::getenv("GROUPFEL_BENCH_SCALE"))
-      o.scale = std::atof(env);
+      o.scale = util::parse_double("GROUPFEL_BENCH_SCALE", env);
     if (const char* env = std::getenv("GROUPFEL_BENCH_ROUNDS"))
-      o.rounds = static_cast<std::size_t>(std::atoll(env));
+      o.rounds = env_count("GROUPFEL_BENCH_ROUNDS", env, 1);
     if (const char* env = std::getenv("GROUPFEL_BENCH_SEEDS"))
-      o.seeds = static_cast<std::size_t>(std::atoll(env));
+      o.seeds = env_count("GROUPFEL_BENCH_SEEDS", env, 1);
     if (const char* env = std::getenv("GROUPFEL_BENCH_BUDGET"))
-      o.budget = std::atof(env);
+      o.budget = util::parse_double("GROUPFEL_BENCH_BUDGET", env);
     if (const char* env = std::getenv("GROUPFEL_BENCH_OUT")) o.out_dir = env;
     if (const char* env = std::getenv("GROUPFEL_BENCH_SERIAL"))
       o.serial_cells = std::atoi(env) != 0;
     if (const char* env = std::getenv("GROUPFEL_BENCH_BACKEND"))
       o.backend = parse_backend(env);
     if (const char* env = std::getenv("GROUPFEL_BENCH_WORKERS"))
-      o.workers = static_cast<std::size_t>(std::atoll(env));
+      o.workers = env_count("GROUPFEL_BENCH_WORKERS", env, 0);
     if (const char* env = std::getenv("GROUPFEL_BENCH_CHECKPOINT"))
       o.checkpoint = env;
     if (const char* env = std::getenv("GROUPFEL_BENCH_RESUME"))
       o.resume = std::atoi(env) != 0;
     if (const char* env = std::getenv("GROUPFEL_BENCH_PROGRESS"))
-      o.progress = std::atof(env);
+      o.progress = util::parse_double("GROUPFEL_BENCH_PROGRESS", env);
     return o;
   }();
   return opts;
@@ -94,8 +118,7 @@ inline BenchOptions& options() {
 
 /// Shared host-context JSON object for every BENCH_*.json writer, so each
 /// snapshot records the hardware it was produced on in one uniform place
-/// (results like concurrent-sweep speedups are only interpretable next to
-/// the core count — see the BENCH_sweep.json note).
+/// (parallel speedups are only interpretable next to the core count).
 inline std::string hardware_context_json() {
   return "{\"hardware_threads\": " +
          std::to_string(std::thread::hardware_concurrency()) + "}";
@@ -107,24 +130,20 @@ inline util::Flags init(int argc, char** argv) {
   util::Flags flags(argc, argv);
   BenchOptions& o = options();
   o.scale = flags.get_double("scale", o.scale);
-  o.rounds = static_cast<std::size_t>(
-      flags.get_int("rounds", static_cast<std::int64_t>(o.rounds)));
-  o.seeds = static_cast<std::size_t>(
-      flags.get_int("seeds", static_cast<std::int64_t>(o.seeds)));
+  o.rounds = flag_count(flags, "rounds", o.rounds, 1);
+  o.seeds = flag_count(flags, "seeds", o.seeds, 1);
   o.budget = flags.get_double("budget", o.budget);
   o.out_dir = flags.get_string("out-dir", o.out_dir);
   o.serial_cells = flags.get_bool("serial-cells", o.serial_cells);
   const std::string backend = flags.get_string("backend", "");
   if (!backend.empty()) o.backend = parse_backend(backend);
-  o.workers = static_cast<std::size_t>(
-      flags.get_int("workers", static_cast<std::int64_t>(o.workers)));
+  o.workers = flag_count(flags, "workers", o.workers, 0);
   o.checkpoint = flags.get_string("checkpoint", o.checkpoint);
   o.resume = flags.get_bool("resume", o.resume);
   o.progress = flags.get_double("progress", o.progress);
-  const std::int64_t threads = flags.get_int("threads", -1);
-  if (threads >= 0)
-    o.owned_pool =
-        std::make_unique<runtime::ThreadPool>(static_cast<std::size_t>(threads));
+  if (flags.has("threads"))
+    o.owned_pool = std::make_unique<runtime::ThreadPool>(
+        flag_count(flags, "threads", 0, 0));
   return flags;
 }
 

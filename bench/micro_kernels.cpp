@@ -3,8 +3,9 @@
 // naive oracles, plus the two protocol kernels whose quadratic cost the
 // paper's Fig. 2a / Fig. 8 overhead model rests on (SecAgg mask expansion,
 // FLAME pairwise cosine), plus the synthetic-sample noise kernel behind lazy
-// shard synthesis. Emits BENCH_kernels.json so the kernel perf
-// trajectory is tracked from PR 1 onward.
+// shard synthesis, plus the million-client control plane (build_experiment
+// and the trainer's grouping, serial vs a 4-thread pool). Emits
+// BENCH_kernels.json so the kernel perf trajectory is tracked over time.
 //
 //   ./micro_kernels            full timed run (writes BENCH_kernels.json)
 //   ./micro_kernels --smoke    fast correctness-weighted pass for ctest:
@@ -20,6 +21,7 @@
 // MLP surrogate's forward/backward (eval batch 256, feature 32, hidden 64),
 // and the im2col'd first layers of ResNet3 (CIFAR task) and CNN5 (Speech
 // Commands task) at batch 32.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -27,15 +29,18 @@
 #include <iostream>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "backdoor/cosine.hpp"
 #include "bench_common.hpp"
+#include "core/trainer.hpp"
 #include "nn/layer.hpp"
 #include "nn/precision.hpp"
 #include "nn/tensor.hpp"
 #include "runtime/rng.hpp"
+#include "runtime/thread_pool.hpp"
 #include "runtime/timer.hpp"
 #include "secagg/prg.hpp"
 #include "util/ascii_plot.hpp"
@@ -363,6 +368,101 @@ KernelReport bench_flame_cosine(std::size_t clients, std::size_t dim,
   return r;
 }
 
+/// Fleet control plane — build_experiment (descriptor partition, test set)
+/// plus the GroupFelTrainer constructor (label matrix, per-edge windowed
+/// CoV grouping, Eq. 34 probabilities) on kLazy clients, ~10k per edge.
+/// Naive is an inline pool (serial), optimized a 4-thread pool; both use
+/// parallel_windows, whose groups are pool-size invariant, so the error
+/// column is the share of mismatched groups and probabilities (exact match
+/// required). The speed gate needs 4 hardware threads to mean anything.
+KernelReport bench_control_plane(std::size_t clients) {
+  core::ExperimentSpec spec;
+  spec.num_clients = clients;
+  spec.num_edges = std::max<std::size_t>(2, clients / 10000);
+  spec.size_mean = 200.0;
+  spec.size_std = 80.0;
+  spec.size_min = 50;
+  spec.size_max = 400;
+  spec.test_size = 512;
+  spec.mlp_hidden = 32;
+  spec.seed = 7;
+  spec.client_state = core::ClientStateMode::kLazy;
+
+  core::GroupFelConfig cfg;
+  cfg.global_rounds = 1;
+  cfg.group_rounds = 1;
+  cfg.local_epochs = 1;
+  cfg.sampled_groups = 16;
+  cfg.local.batch_size = 32;
+  cfg.local.lr = 0.1f;
+  cfg.grouping = grouping::GroupingMethod::kCov;
+  cfg.grouping_params.min_group_size = 100;
+  cfg.grouping_params.greedy_window = 256;
+  cfg.grouping_params.parallel_windows = true;
+  cfg.sampling = sampling::SamplingMethod::kESRCov;
+  cfg.seed = 42;
+
+  struct Arm {
+    double seconds = 0.0;
+    std::vector<core::FormedGroup> groups;
+    std::vector<double> probabilities;
+  };
+  const auto run = [&](std::size_t threads) {
+    runtime::ThreadPool pool(threads);
+    Arm arm;
+    runtime::Timer t;
+    const core::Experiment exp = core::build_experiment(spec, &pool);
+    const core::GroupFelTrainer trainer(
+        exp.topology, cfg,
+        core::build_cost_model(cost::Task::kCifar, cost::GroupOp::kSecAgg),
+        &pool);
+    arm.seconds = t.seconds();
+    arm.groups = trainer.groups();
+    arm.probabilities = trainer.sampling_probabilities();
+    return arm;
+  };
+  const Arm serial = run(0);
+  const Arm pooled = run(4);
+
+  std::size_t mismatches = 0;
+  const std::size_t n = std::max(serial.groups.size(), pooled.groups.size());
+  if (serial.groups.size() != pooled.groups.size() ||
+      serial.probabilities.size() != pooled.probabilities.size()) {
+    mismatches = n;
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const core::FormedGroup& a = serial.groups[i];
+      const core::FormedGroup& b = pooled.groups[i];
+      mismatches += a.edge_id != b.edge_id || a.clients != b.clients ||
+                    a.data_count != b.data_count || a.cov != b.cov ||
+                    serial.probabilities[i] != pooled.probabilities[i];
+    }
+  }
+
+  KernelReport r;
+  r.name = "control_plane_1m";
+  r.shape = "clients" + std::to_string(clients) + "_groups" +
+            std::to_string(serial.groups.size());
+  r.flops = static_cast<double>(clients);  // unit: clients, not FLOPs
+  r.max_rel_err = n == 0 ? 1.0
+                         : static_cast<double>(mismatches) /
+                               static_cast<double>(n);
+  r.tolerance = 0.0;
+  r.naive_gflops = r.flops / serial.seconds * 1e-9;
+  r.opt_gflops = r.flops / pooled.seconds * 1e-9;
+  r.speedup = serial.seconds / pooled.seconds;
+  const unsigned hw = std::thread::hardware_concurrency();
+  r.note = "Gclients/s of set-up, pool 0 vs pool 4; error is the mismatch "
+           "share of groups and Eq. 34 probabilities (exact match required)";
+  if (hw >= 4) {
+    r.min_speedup = 1.8;
+  } else {
+    r.note += "; speed gate skipped: " + std::to_string(hw) +
+              " hardware threads < 4";
+  }
+  return r;
+}
+
 void write_json(const std::vector<KernelReport>& reports,
                 const std::string& path) {
   std::ofstream out(path);
@@ -446,6 +546,8 @@ int main(int argc, char** argv) {
   // Lazy-shard synthesis: one 3x16x16 image sample's noise per stream, 64
   // samples (cache-resident, like a training batch's buffer).
   reports.push_back(bench_synth_normals(768, 64, 51));
+  // Fleet control plane: the smoke pass checks pool invariance only.
+  reports.push_back(bench_control_plane(g_smoke ? 3000 : 1000000));
 
   std::cout << util::ascii_table(
       "Kernel microbenchmarks (naive vs optimized)",

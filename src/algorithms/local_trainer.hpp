@@ -26,8 +26,9 @@ struct LocalTrainConfig {
   /// A/B toggle for the zero-alloc minibatch pipeline: when true (default)
   /// run_local_sgd reuses per-thread batch/loss/permutation buffers via
   /// batch_into + softmax_cross_entropy_into; when false it re-allocates a
-  /// fresh Batch and gradient per step (the legacy path benchmarked by
-  /// bench/sweep_throughput). Both paths are bit-identical.
+  /// fresh Batch and gradient per step (the legacy path). Both paths are
+  /// bit-identical (LocalSgd.ReusePathBitIdenticalToLegacy,
+  /// RunSweep.MatchesPerCellBuildAndTrain).
   bool reuse_batch_buffers = true;
 };
 

@@ -131,8 +131,8 @@ struct GroupFelConfig {
   /// (runtime::ModelReplicaCache) and exchange parameters through
   /// caller-owned flat buffers, instead of cloning the prototype and
   /// materializing fresh vectors for every client on every group round.
-  /// Bit-identical to the legacy path; off = clone-per-client, kept so
-  /// bench/sim_round can measure the before/after.
+  /// Bit-identical to the legacy path (TrainerDeterminism.
+  /// LegacyAndOptimizedPathsAgree); off = clone-per-client.
   bool reuse_model_replicas = true;
 
   /// Aggregate group and global models with the fixed-shape parallel

@@ -27,7 +27,7 @@ enum class ClientStateMode {
   /// Descriptor partition only; minibatches are synthesized on demand from
   /// per-sample RNG streams. Resident state is the descriptor table, so the
   /// spec scales to 10^6 clients. Bit-identical training to
-  /// kDescriptorResident (ctest-gated).
+  /// kDescriptorResident (LazyTraining.DescriptorResidentBitIdenticalToLazy).
   kLazy,
 };
 

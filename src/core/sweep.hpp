@@ -67,7 +67,8 @@ struct SweepOptions {
   runtime::ThreadPool* pool = nullptr;
   /// Run cells in a serial index-order loop instead of concurrently (the
   /// trainers still use `pool` internally). Results are identical; this is
-  /// the reference mode bench/sweep_throughput compares against.
+  /// the reference mode RunSweep.BitIdenticalForAnyPoolSize compares
+  /// against.
   bool serial_cells = false;
 
   SweepBackend backend = SweepBackend::kInProcess;

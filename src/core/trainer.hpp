@@ -98,7 +98,8 @@ class GroupFelTrainer {
 
   /// Model constructions performed by the per-thread replica cache so far
   /// (0 when cfg.reuse_model_replicas is off). Steady state adds none —
-  /// bench/sim_round asserts this stays flat across later rounds.
+  /// TrainerDeterminism.SteadyStateAddsNoModelConstructions asserts this
+  /// stays flat across later rounds.
   [[nodiscard]] std::size_t replica_clone_count() const noexcept {
     return replicas_.clone_count();
   }

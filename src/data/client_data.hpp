@@ -117,7 +117,8 @@ class ClientDataStore {
 
   /// Approximate resident bytes held by this store's client data (feature
   /// tensors + index lists for resident shards; descriptor table when
-  /// lazy). Reported by bench/scale_sim.
+  /// lazy). LazyTraining.HundredThousandClientsUnderTenthOfNaiveMemory
+  /// bounds it at 100k clients.
   [[nodiscard]] std::size_t resident_bytes() const;
 
  private:

@@ -73,28 +73,6 @@ void partition_one(ClientPopulation& pop, const PartitionSpec& spec,
 
 }  // namespace
 
-void descriptor_partition_range(ClientPopulation& pop,
-                                const PartitionSpec& spec,
-                                const runtime::Rng& rng, std::size_t begin,
-                                std::size_t end, runtime::ThreadPool* pool) {
-  GF_CHECK(end <= pop.num_clients(),
-           "descriptor_partition_range: end ", end, " beyond population ",
-           pop.num_clients());
-  if (begin >= end) return;
-  const std::size_t count = end - begin;
-  const std::size_t blocks = (count + kPartitionBlock - 1) / kPartitionBlock;
-  const auto fill_block = [&](std::size_t bi) {
-    const std::size_t i0 = begin + bi * kPartitionBlock;
-    const std::size_t i1 = std::min(end, i0 + kPartitionBlock);
-    for (std::size_t i = i0; i < i1; ++i) partition_one(pop, spec, rng, i);
-  };
-  if (pool != nullptr && pool->size() > 1 && blocks > 1) {
-    pool->parallel_for(blocks, fill_block);
-  } else {
-    for (std::size_t bi = 0; bi < blocks; ++bi) fill_block(bi);
-  }
-}
-
 ClientPopulation descriptor_partition(const PartitionSpec& spec,
                                       std::size_t num_classes,
                                       runtime::Rng& rng,
@@ -105,7 +83,18 @@ ClientPopulation descriptor_partition(const PartitionSpec& spec,
     throw std::invalid_argument("descriptor_partition: bad size bounds");
 
   ClientPopulation pop(spec.num_clients, num_classes);
-  descriptor_partition_range(pop, spec, rng, 0, spec.num_clients, pool);
+  const std::size_t blocks =
+      (spec.num_clients + kPartitionBlock - 1) / kPartitionBlock;
+  const auto fill_block = [&](std::size_t bi) {
+    const std::size_t i0 = bi * kPartitionBlock;
+    const std::size_t i1 = std::min(spec.num_clients, i0 + kPartitionBlock);
+    for (std::size_t i = i0; i < i1; ++i) partition_one(pop, spec, rng, i);
+  };
+  if (pool != nullptr && pool->size() > 1 && blocks > 1) {
+    pool->parallel_for(blocks, fill_block);
+  } else {
+    for (std::size_t bi = 0; bi < blocks; ++bi) fill_block(bi);
+  }
   return pop;
 }
 

@@ -100,15 +100,4 @@ class ClientPopulation {
     const PartitionSpec& spec, std::size_t num_classes, runtime::Rng& rng,
     runtime::ThreadPool* pool = nullptr);
 
-/// The per-client kernel of descriptor_partition over clients [begin, end):
-/// exposed so callers can compose their own slab scheduling (e.g. progress
-/// ticks between slabs in bench/scale_sim). Filling every slab of
-/// [0, num_clients) reproduces descriptor_partition(spec, classes, rng)
-/// bit for bit regardless of slab boundaries or execution order.
-void descriptor_partition_range(ClientPopulation& pop,
-                                const PartitionSpec& spec,
-                                const runtime::Rng& rng, std::size_t begin,
-                                std::size_t end,
-                                runtime::ThreadPool* pool = nullptr);
-
 }  // namespace groupfel::data

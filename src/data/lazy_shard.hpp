@@ -13,7 +13,8 @@
 // Bit-identity contract: materialize_population() builds resident
 // ClientShards by running the SAME per-sample generators in the same order,
 // so the lazy and resident paths produce byte-identical batches (ctest-gated
-// by tests/lazy_shard_test.cpp and bench/scale_sim --smoke).
+// by tests/lazy_shard_test.cpp, down to trained parameters in
+// LazyTraining.DescriptorResidentBitIdenticalToLazy).
 #pragma once
 
 #include <memory>

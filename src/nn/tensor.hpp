@@ -20,7 +20,8 @@ namespace groupfel::nn {
 /// construction, moves, and assignment into an existing tensor (which reuse
 /// capacity) are not counted. Deltas around a steady-state region prove the
 /// "zero tensor constructions per SGD step" property of the minibatch
-/// pipeline (bench/sweep_throughput, tests/minibatch_pipeline_test.cpp).
+/// pipeline (tests/minibatch_pipeline_test.cpp,
+/// tests/steady_state_alloc_test.cpp).
 [[nodiscard]] std::uint64_t tensor_construction_count() noexcept;
 
 class Tensor {

@@ -1,5 +1,6 @@
 // Tiny command-line flag parser for bench/example binaries.
-// Accepts `--name=value`, `--name value`, and boolean `--name`.
+// Accepts `--name=value`, `--name value`, and boolean `--name`. Numeric
+// values must parse in full: `--rounds=12abc` throws rather than reading 12.
 #pragma once
 
 #include <cstdint>
@@ -8,6 +9,14 @@
 #include <vector>
 
 namespace groupfel::util {
+
+/// Parses all of `text` as a base-10 integer / floating-point number.
+/// Throws std::invalid_argument naming `name` (a flag or environment
+/// variable) on empty text, trailing characters, or overflow.
+[[nodiscard]] std::int64_t parse_int(const std::string& name,
+                                     const std::string& text);
+[[nodiscard]] double parse_double(const std::string& name,
+                                  const std::string& text);
 
 class Flags {
  public:

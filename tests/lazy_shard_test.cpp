@@ -1,18 +1,25 @@
 // Lazy client-state tests: deterministic per-sample regeneration, bit
-// identity between the lazy and materialized-resident arms, and pool-size
-// invariance of descriptor-backed training (the contracts bench/scale_sim
-// and the million-client engine are built on).
+// identity between the lazy and materialized-resident arms, pool-size
+// invariance of descriptor-backed training, and the memory bound of a
+// 100k-client lazy federation (the contracts the million-client engine is
+// built on).
 #include "data/lazy_shard.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#endif
 
 #include "core/edge_server.hpp"
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
 #include "data/client_data.hpp"
 #include "data/client_descriptor.hpp"
+#include "nn/tensor.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace groupfel::data {
@@ -181,6 +188,130 @@ TEST(LazyTraining, PoolSizeInvariant) {
     for (std::size_t i = 0; i < reference.size(); ++i)
       ASSERT_EQ(reference[i], result.final_params[i])
           << "param " << i << " diverged at pool size " << workers;
+  }
+}
+
+/// Fleet-scale descriptor spec: ~10k clients per edge, the paper's §7.2
+/// size distribution at mean 200 (so the naive resident projection is a
+/// multi-GB figure at 100k clients).
+core::ExperimentSpec fleet_spec(std::size_t clients) {
+  core::ExperimentSpec spec;
+  spec.num_clients = clients;
+  spec.num_edges = std::max<std::size_t>(2, clients / 10000);
+  spec.size_mean = 200.0;
+  spec.size_std = 80.0;
+  spec.size_min = 50;
+  spec.size_max = 400;
+  spec.test_size = 512;
+  spec.mlp_hidden = 32;
+  spec.seed = 7;
+  spec.client_state = core::ClientStateMode::kLazy;
+  return spec;
+}
+
+/// One global round of windowed CoV grouping + streaming ESRCoV sampling,
+/// group size ~100 (MinGS): the paper's default method at fleet scale.
+core::GroupFelConfig fleet_config() {
+  core::GroupFelConfig cfg;
+  cfg.global_rounds = 1;
+  cfg.group_rounds = 1;
+  cfg.local_epochs = 1;
+  cfg.sampled_groups = 16;
+  cfg.local.batch_size = 32;
+  cfg.local.lr = 0.1f;
+  cfg.grouping = grouping::GroupingMethod::kCov;
+  cfg.grouping_params.min_group_size = 100;
+  cfg.grouping_params.greedy_window = 256;
+  cfg.sampling = sampling::SamplingMethod::kESRCov;
+  cfg.eval_every = 1;
+  cfg.seed = 42;
+  return cfg;
+}
+
+// kDescriptorResident materializes every shard from the descriptors that
+// kLazy regenerates on demand, so training must not tell them apart — while
+// the lazy arm holds under a tenth of the resident bytes.
+TEST(LazyTraining, DescriptorResidentBitIdenticalToLazy) {
+  core::ExperimentSpec spec = fleet_spec(64);
+  spec.num_edges = 2;
+  spec.size_mean = 40;
+  spec.size_std = 10;
+  spec.size_min = 16;
+  spec.size_max = 64;
+  spec.test_size = 200;
+
+  core::GroupFelConfig cfg = fleet_config();
+  cfg.global_rounds = 2;
+  cfg.group_rounds = 2;
+  cfg.sampled_groups = 3;
+  cfg.local.batch_size = 8;
+  cfg.grouping_params.min_group_size = 5;
+  cfg.grouping_params.greedy_window = 0;  // classic Algorithm 2
+
+  spec.client_state = core::ClientStateMode::kDescriptorResident;
+  const core::Experiment resident = core::build_experiment(spec);
+  spec.client_state = core::ClientStateMode::kLazy;
+  const core::Experiment lazy = core::build_experiment(spec);
+  ASSERT_NE(resident.train_set, nullptr);
+  ASSERT_EQ(lazy.train_set, nullptr);
+
+  const std::size_t resident_bytes = resident.topology.clients.resident_bytes();
+  const std::size_t lazy_bytes = lazy.topology.clients.resident_bytes();
+  EXPECT_LT(lazy_bytes * 10, resident_bytes);
+
+  const auto model =
+      core::build_cost_model(cost::Task::kCifar, cost::GroupOp::kSecAgg);
+  core::GroupFelTrainer resident_trainer(resident.topology, cfg, model);
+  core::GroupFelTrainer lazy_trainer(lazy.topology, cfg, model);
+  const core::TrainResult a = resident_trainer.train();
+  const core::TrainResult b = lazy_trainer.train();
+  EXPECT_EQ(a.final_accuracy, b.final_accuracy);
+  ASSERT_EQ(a.final_params.size(), b.final_params.size());
+  for (std::size_t i = 0; i < a.final_params.size(); ++i)
+    ASSERT_EQ(a.final_params[i], b.final_params[i]) << "param " << i;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedHeap = true;  // shadow memory inflates RSS
+#else
+constexpr bool kSanitizedHeap = false;
+#endif
+
+/// Process peak RSS in bytes; 0 where getrusage is unavailable.
+std::size_t peak_rss_bytes() {
+#if defined(__linux__)
+  struct rusage ru {};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  return static_cast<std::size_t>(ru.ru_maxrss) * 1024;  // ru_maxrss is KiB
+#else
+  return 0;
+#endif
+}
+
+// A 100k-client lazy federation — build, group, one Algorithm 1 round —
+// must stay under 10% of the naive layout that keeps every client's feature
+// tensor resident. ctest runs each test in its own process, so peak RSS is
+// this test's alone.
+TEST(LazyTraining, HundredThousandClientsUnderTenthOfNaiveMemory) {
+  const core::Experiment exp = core::build_experiment(fleet_spec(100000));
+  const data::ClientDataStore& store = exp.topology.clients;
+  const std::size_t sample_bytes =
+      nn::shape_size(exp.data_spec.sample_shape) * sizeof(float);
+  std::size_t naive_bytes = 0;
+  for (std::size_t c = 0; c < store.num_clients(); ++c)
+    naive_bytes += store.data_count(c) * sample_bytes;
+
+  core::GroupFelTrainer trainer(
+      exp.topology, fleet_config(),
+      core::build_cost_model(cost::Task::kCifar, cost::GroupOp::kSecAgg));
+  const core::TrainResult result = trainer.train();
+  ASSERT_EQ(result.history.size(), 1u);
+
+  EXPECT_LT(store.resident_bytes() * 10, naive_bytes);
+  const std::size_t peak = peak_rss_bytes();
+  if (!kSanitizedHeap && peak > 0) {
+    EXPECT_LT(peak * 10, naive_bytes)
+        << "peak RSS " << peak << " B vs naive " << naive_bytes << " B";
   }
 }
 

@@ -101,21 +101,6 @@ TEST(ParallelPartition, BitIdenticalAcrossPools) {
   });
 }
 
-TEST(ParallelPartition, RangeSlabsReproduceFullPartition) {
-  // Filling arbitrary slabs (out of order) must reproduce the one-shot
-  // partition bit for bit — the contract scale_sim's progress ticks rely on.
-  const data::ClientPopulation full = make_population(3000);
-  runtime::Rng rng(11);
-  data::ClientPopulation slabbed(3000, 10);
-  // Slabs cover [0, 3000) but run out of order with uneven boundaries.
-  const std::pair<std::size_t, std::size_t> slabs[] = {
-      {2048, 3000}, {0, 700}, {700, 2048}};
-  for (const auto& [begin, end] : slabs)
-    data::descriptor_partition_range(slabbed, partition_spec(3000), rng,
-                                     begin, end);
-  EXPECT_TRUE(same_population(full, slabbed));
-}
-
 // ---- Stage 2: label matrix ------------------------------------------------
 
 TEST(ParallelLabelMatrix, BitIdenticalAcrossPools) {
@@ -130,36 +115,44 @@ TEST(ParallelLabelMatrix, BitIdenticalAcrossPools) {
 
 // ---- Stage 3: grouping ----------------------------------------------------
 
+// Both window modes: the classic window chain must ignore the pool, and
+// parallel_windows must be bit-identical for any pool.
 TEST(ParallelWindows, CovBitIdenticalAcrossPools) {
   const data::LabelMatrix matrix = make_matrix(600);
-  grouping::GroupingParams params;
-  params.min_group_size = 8;
-  params.greedy_window = 64;
-  params.parallel_windows = true;
-  runtime::Rng base(5);
-  const grouping::Grouping serial =
-      grouping::cov_grouping(matrix, params, base, nullptr);
-  grouping::validate_partition(serial, matrix.num_clients());
-  for_each_pool([&](runtime::ThreadPool* pool) {
-    runtime::Rng rng(5);
-    EXPECT_EQ(serial, grouping::cov_grouping(matrix, params, rng, pool));
-  });
+  for (const bool parallel_windows : {false, true}) {
+    grouping::GroupingParams params;
+    params.min_group_size = 8;
+    params.greedy_window = 64;
+    params.parallel_windows = parallel_windows;
+    runtime::Rng base(5);
+    const grouping::Grouping serial =
+        grouping::cov_grouping(matrix, params, base, nullptr);
+    grouping::validate_partition(serial, matrix.num_clients());
+    for_each_pool([&](runtime::ThreadPool* pool) {
+      runtime::Rng rng(5);
+      EXPECT_EQ(serial, grouping::cov_grouping(matrix, params, rng, pool))
+          << "parallel_windows = " << parallel_windows;
+    });
+  }
 }
 
 TEST(ParallelWindows, KldgBitIdenticalAcrossPools) {
   const data::LabelMatrix matrix = make_matrix(300);
-  grouping::GroupingParams params;
-  params.min_group_size = 6;
-  params.greedy_window = 48;
-  params.parallel_windows = true;
-  runtime::Rng base(9);
-  const grouping::Grouping serial =
-      grouping::kldg_grouping(matrix, params, base, nullptr);
-  grouping::validate_partition(serial, matrix.num_clients());
-  for_each_pool([&](runtime::ThreadPool* pool) {
-    runtime::Rng rng(9);
-    EXPECT_EQ(serial, grouping::kldg_grouping(matrix, params, rng, pool));
-  });
+  for (const bool parallel_windows : {false, true}) {
+    grouping::GroupingParams params;
+    params.min_group_size = 6;
+    params.greedy_window = 48;
+    params.parallel_windows = parallel_windows;
+    runtime::Rng base(9);
+    const grouping::Grouping serial =
+        grouping::kldg_grouping(matrix, params, base, nullptr);
+    grouping::validate_partition(serial, matrix.num_clients());
+    for_each_pool([&](runtime::ThreadPool* pool) {
+      runtime::Rng rng(9);
+      EXPECT_EQ(serial, grouping::kldg_grouping(matrix, params, rng, pool))
+          << "parallel_windows = " << parallel_windows;
+    });
+  }
 }
 
 TEST(ParallelCdg, BitIdenticalAcrossPools) {

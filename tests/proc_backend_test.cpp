@@ -151,17 +151,28 @@ TEST(ProcBackend, BitIdenticalToSerialAndInProcess) {
   const core::SweepRunResult in_process = core::run_sweep(cells, inproc);
   expect_sweeps_identical(reference, in_process);
 
+  const char* path = "/tmp/groupfel_proc_journal_test.bin";
   for (const std::size_t workers : {1UL, 4UL}) {
+    std::remove(path);
     core::SweepOptions opts;
     opts.backend = core::SweepBackend::kProcess;
     opts.workers = workers;
+    opts.checkpoint_path = path;
     const core::SweepRunResult procs = core::run_sweep(cells, opts);
     expect_sweeps_identical(reference, procs);
     for (std::size_t i = 0; i < cells.size(); ++i)
       expect_cells_byte_identical(reference.cells[i], procs.cells[i]);
     EXPECT_EQ(procs.cells_from_checkpoint, 0u);
     EXPECT_EQ(procs.distinct_experiments, 2u);
+
+    // Resuming against the complete journal re-runs nothing.
+    opts.resume = true;
+    const core::SweepRunResult resumed = core::run_sweep(cells, opts);
+    EXPECT_EQ(resumed.cells_from_checkpoint, cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      expect_cells_byte_identical(reference.cells[i], resumed.cells[i]);
   }
+  std::remove(path);
 }
 
 TEST(ProcBackend, WorkerRunsMultipleCellsWithSharedSpecCache) {

@@ -10,7 +10,9 @@
 #include <set>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "core/trainer.hpp"
 
 namespace groupfel {
 namespace {
@@ -106,6 +108,8 @@ void expect_sweeps_identical(const core::SweepRunResult& a,
           << a.cells[i].label << " round " << j;
       EXPECT_EQ(ra.history[j].test_loss, rb.history[j].test_loss)
           << a.cells[i].label << " round " << j;
+      EXPECT_EQ(ra.history[j].cumulative_cost, rb.history[j].cumulative_cost)
+          << a.cells[i].label << " round " << j;
     }
     ASSERT_EQ(ra.final_params.size(), rb.final_params.size());
     for (std::size_t j = 0; j < ra.final_params.size(); ++j)
@@ -148,6 +152,65 @@ TEST(RunSweep, BitIdenticalForAnyPoolSize) {
     const core::SweepRunResult serial = core::run_sweep(cells, serial_opts);
     expect_sweeps_identical(reference, serial);
   }
+}
+
+// run_sweep's execution strategy (one build per distinct spec, scheduled
+// cells, the zero-alloc minibatch pipeline) must reproduce the plain
+// per-cell loop — a fresh build_experiment and GroupFelTrainer per cell on
+// the allocating SGD path — bit for bit, for all six fig9 methods.
+TEST(RunSweep, MatchesPerCellBuildAndTrain) {
+  core::ExperimentSpec spec;
+  spec.num_clients = 24;
+  spec.num_edges = 2;
+  spec.size_mean = 40;
+  spec.size_std = 10;
+  spec.size_min = 16;
+  spec.size_max = 64;
+  spec.test_size = 200;
+  spec.mlp_hidden = 32;
+  spec.seed = 7;
+
+  std::vector<core::SweepCell> cells;
+  for (const auto method :
+       {core::Method::kFedAvg, core::Method::kFedProx, core::Method::kScaffold,
+        core::Method::kGroupFel, core::Method::kOuea, core::Method::kShare}) {
+    core::SweepCell cell;
+    cell.label = core::to_string(method);
+    cell.spec = spec;
+    cell.config.global_rounds = 2;
+    cell.config.group_rounds = 2;
+    cell.config.local_epochs = 1;
+    cell.config.sampled_groups = 3;
+    cell.config.local.batch_size = 8;
+    cell.config.local.lr = 0.1f;
+    cell.config.grouping_params.min_group_size = 5;
+    cell.config.eval_every = 1;
+    cell.config.seed = spec.seed ^ 0x5eed;
+    core::apply_method(method, cell.config);
+    cell.task = spec.task;
+    cell.op = core::cost_group_op(method);
+    cells.push_back(std::move(cell));
+  }
+
+  runtime::ThreadPool pool(2);
+  core::SweepRunResult per_cell;
+  for (const core::SweepCell& cell : cells) {
+    const core::Experiment exp = core::build_experiment(cell.spec);
+    core::GroupFelConfig cfg = cell.config;
+    cfg.local.reuse_batch_buffers = false;
+    core::GroupFelTrainer trainer(
+        exp.topology, cfg, core::build_cost_model(cell.task, cell.op), &pool);
+    core::SweepCellResult result;
+    result.label = cell.label;
+    result.result = trainer.train(cell.cost_budget);
+    per_cell.cells.push_back(std::move(result));
+  }
+
+  core::SweepOptions opts;
+  opts.pool = &pool;
+  const core::SweepRunResult swept = core::run_sweep(cells, opts);
+  EXPECT_EQ(swept.distinct_experiments, 1u);
+  expect_sweeps_identical(per_cell, swept);
 }
 
 }  // namespace

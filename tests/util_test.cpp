@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/ascii_plot.hpp"
 #include "util/csv.hpp"
@@ -102,6 +104,36 @@ TEST(Flags, FallbacksWhenAbsent) {
   EXPECT_EQ(flags.get_int("missing", 42), 42);
   EXPECT_EQ(flags.get_string("missing", "dflt"), "dflt");
   EXPECT_FALSE(flags.has("missing"));
+}
+
+TEST(Flags, NumericValuesMustParseInFull) {
+  const char* argv[] = {"prog", "--rounds=12abc", "--lr=0.1x", "--seeds=",
+                        "--n=abc", "--big=99999999999999999999", "--neg=-3",
+                        "--exp=1e-3"};
+  Flags flags(8, const_cast<char**>(argv));
+  EXPECT_THROW((void)flags.get_int("rounds", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_double("lr", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int("seeds", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int("big", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int("exp", 0), std::invalid_argument);
+  EXPECT_EQ(flags.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(flags.get_double("exp", 0.0), 1e-3);
+}
+
+TEST(Flags, ParseErrorNamesTheFlag) {
+  const char* argv[] = {"prog", "--rounds=12abc"};
+  Flags flags(2, const_cast<char**>(argv));
+  try {
+    (void)flags.get_int("rounds", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--rounds"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parse_int("ENV_VAR", "42"), 42);
+  EXPECT_THROW((void)parse_int("ENV_VAR", "4 2"), std::invalid_argument);
+  EXPECT_THROW((void)parse_double("ENV_VAR", ""), std::invalid_argument);
 }
 
 TEST(Flags, Positional) {
