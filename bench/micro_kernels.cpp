@@ -3,9 +3,11 @@
 // naive oracles, plus the two protocol kernels whose quadratic cost the
 // paper's Fig. 2a / Fig. 8 overhead model rests on (SecAgg mask expansion,
 // FLAME pairwise cosine), plus the synthetic-sample noise kernel behind lazy
-// shard synthesis, plus the million-client control plane (build_experiment
-// and the trainer's grouping, serial vs a 4-thread pool). Emits
-// BENCH_kernels.json so the kernel perf trajectory is tracked over time.
+// shard synthesis, plus the fleet set-up kernels (the §7.2 partition's
+// label draws and Algorithm 2's candidate scan), plus the million-client
+// control plane (build_experiment and the trainer's grouping, serial vs a
+// 4-thread pool). Emits BENCH_kernels.json so the kernel perf trajectory is
+// tracked over time.
 //
 //   ./micro_kernels            full timed run (writes BENCH_kernels.json)
 //   ./micro_kernels --smoke    fast correctness-weighted pass for ctest:
@@ -27,6 +29,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <numeric>
 #include <span>
 #include <string>
 #include <thread>
@@ -36,6 +40,10 @@
 #include "backdoor/cosine.hpp"
 #include "bench_common.hpp"
 #include "core/trainer.hpp"
+#include "data/client_descriptor.hpp"
+#include "data/label_matrix.hpp"
+#include "grouping/candidate_pool.hpp"
+#include "grouping/grouping.hpp"
 #include "nn/layer.hpp"
 #include "nn/precision.hpp"
 #include "nn/tensor.hpp"
@@ -341,6 +349,170 @@ KernelReport bench_synth_normals(std::size_t n, std::size_t samples,
   return r;
 }
 
+/// §7.2 partition histograms — the per-client label draws of
+/// descriptor_partition on fleet_1m-shaped clients (Dirichlet(0.5) over 10
+/// classes, 200 samples each). Naive is the scalar loop
+/// ++row[categorical(props)]; optimized is the 8-lane Rng::categorical_counts.
+/// Both define the same histograms and leave each stream in the same place,
+/// so the error column is the share of mismatched clients (exact match
+/// required).
+KernelReport bench_partition_categorical(std::size_t clients,
+                                         std::size_t reps) {
+  constexpr std::size_t kClasses = 10, kSamples = 200;
+  KernelReport r;
+  r.name = "partition_categorical";
+  r.shape = "clients" + std::to_string(clients) + "_k" +
+            std::to_string(kClasses) + "_n" + std::to_string(kSamples);
+  r.flops = static_cast<double>(clients * kSamples);  // unit: draws
+  std::vector<double> props(clients * kClasses);
+  runtime::Rng props_rng(41);
+  for (std::size_t c = 0; c < clients; ++c) {
+    const std::vector<double> p = props_rng.dirichlet(0.5, kClasses);
+    std::copy(p.begin(), p.end(), props.begin() + c * kClasses);
+  }
+  std::vector<std::uint32_t> naive_counts(clients * kClasses),
+      opt_counts(clients * kClasses);
+  std::vector<std::uint64_t> naive_next(clients), opt_next(clients);
+  // One fresh stream per client, as partition_one draws them.
+  const auto naive = [&] {
+    std::fill(naive_counts.begin(), naive_counts.end(), 0u);
+    for (std::size_t c = 0; c < clients; ++c) {
+      runtime::Rng rng(c + 1);
+      const std::span<const double> w(props.data() + c * kClasses, kClasses);
+      std::uint32_t* row = naive_counts.data() + c * kClasses;
+      for (std::size_t s = 0; s < kSamples; ++s) ++row[rng.categorical(w)];
+      naive_next[c] = rng.next_u64();
+    }
+  };
+  const auto opt = [&] {
+    std::fill(opt_counts.begin(), opt_counts.end(), 0u);
+    for (std::size_t c = 0; c < clients; ++c) {
+      runtime::Rng rng(c + 1);
+      rng.categorical_counts(
+          std::span<const double>(props.data() + c * kClasses, kClasses),
+          kSamples,
+          std::span<std::uint32_t>(opt_counts.data() + c * kClasses,
+                                   kClasses));
+      opt_next[c] = rng.next_u64();
+    }
+  };
+  naive();
+  opt();
+  std::size_t mismatches = 0;
+  for (std::size_t c = 0; c < clients; ++c)
+    mismatches +=
+        naive_next[c] != opt_next[c] ||
+        !std::equal(naive_counts.begin() + c * kClasses,
+                    naive_counts.begin() + (c + 1) * kClasses,
+                    opt_counts.begin() + c * kClasses);
+  r.max_rel_err =
+      static_cast<double>(mismatches) / static_cast<double>(clients);
+  r.tolerance = 0.0;
+  r.min_speedup = 2.0;
+  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
+  r.naive_gflops = r.flops / time_best(naive, reps) * 1e-9;
+  r.speedup = r.opt_gflops / r.naive_gflops;
+  r.note = "Gdraw/s of label draws; error is the mismatch share of clients' "
+           "histograms and final stream states (exact match required)";
+  return r;
+}
+
+/// The scalar candidate scan the lane scan replaced: one
+/// IncrementalCov::value_with per live candidate, first minimum kept.
+void scalar_scan_greedy(const data::LabelMatrix& matrix,
+                        const grouping::GroupingParams& params,
+                        runtime::Rng& rng, std::vector<std::size_t> items,
+                        grouping::Grouping& groups) {
+  grouping::CandidatePool pool(std::move(items));
+  while (!pool.empty()) {
+    const std::size_t first = pool.nth_live_slot(rng.next_below(pool.size()));
+    std::vector<std::size_t> group{pool.client(first)};
+    pool.remove(first);
+    grouping::IncrementalCov inc(matrix.num_labels());
+    inc.add(matrix.row(group[0]));
+    while ((inc.value() > params.max_cov ||
+            group.size() < params.min_group_size) &&
+           !pool.empty()) {
+      double best_cov = std::numeric_limits<double>::infinity();
+      std::size_t best_slot = 0;
+      pool.for_each([&](std::size_t slot, std::size_t client) {
+        const double c = inc.value_with(matrix.row(client));
+        if (c < best_cov) {
+          best_cov = c;
+          best_slot = slot;
+        }
+      });
+      if (!(best_cov < inc.value() || group.size() < params.min_group_size))
+        break;
+      const std::size_t chosen = pool.client(best_slot);
+      inc.add(matrix.row(chosen));
+      group.push_back(chosen);
+      pool.remove(best_slot);
+    }
+    groups.push_back(std::move(group));
+  }
+}
+
+/// Algorithm 2 on one fleet_1m edge: 10k clients, window 256, MinGS 100,
+/// parallel_windows streams, run serially in both arms. Naive runs the
+/// scalar candidate scan; optimized is grouping::cov_grouping with its
+/// 8-lane scan. The groupings must be identical (error = 1 otherwise).
+KernelReport bench_cov_greedy_edge(std::size_t clients, std::size_t reps) {
+  data::PartitionSpec part;
+  part.num_clients = clients;
+  part.alpha = 0.5;
+  part.size_mean = 200.0;
+  part.size_std = 0.0;
+  part.size_min = 50;
+  part.size_max = 400;
+  runtime::Rng part_rng(43);
+  const data::LabelMatrix matrix = data::LabelMatrix::from_population(
+      data::descriptor_partition(part, 10, part_rng));
+  grouping::GroupingParams params;
+  params.min_group_size = 100;
+  params.greedy_window = 256;
+  params.parallel_windows = true;
+
+  grouping::Grouping naive_groups, opt_groups;
+  const auto naive = [&] {
+    naive_groups.clear();
+    runtime::Rng rng(44);
+    std::vector<std::size_t> order(clients);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    rng.shuffle(order);
+    for (std::size_t w = 0; w * params.greedy_window < clients; ++w) {
+      const auto begin = order.begin() +
+                         static_cast<std::ptrdiff_t>(w * params.greedy_window);
+      const auto end = order.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                           clients,
+                                           (w + 1) * params.greedy_window));
+      runtime::Rng wrng = rng.fork(w);
+      scalar_scan_greedy(matrix, params, wrng, {begin, end}, naive_groups);
+    }
+  };
+  const auto opt = [&] {
+    runtime::Rng rng(44);
+    opt_groups = grouping::cov_grouping(matrix, params, rng, nullptr);
+  };
+  naive();
+  opt();
+
+  KernelReport r;
+  r.name = "cov_greedy_edge";
+  r.shape = "clients" + std::to_string(clients) + "_w256_mings100_groups" +
+            std::to_string(opt_groups.size());
+  r.flops = static_cast<double>(clients);  // unit: clients grouped
+  r.max_rel_err = naive_groups == opt_groups ? 0.0 : 1.0;
+  r.tolerance = 0.0;
+  r.min_speedup = 1.6;
+  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
+  r.naive_gflops = r.flops / time_best(naive, reps) * 1e-9;
+  r.speedup = r.opt_gflops / r.naive_gflops;
+  r.note = "Gclients/s grouped on one edge; error is 1 unless the groupings "
+           "are identical";
+  return r;
+}
+
 /// FLAME pairwise cosine matrix — the O(|g|²·d) group operation.
 KernelReport bench_flame_cosine(std::size_t clients, std::size_t dim,
                                 std::size_t reps) {
@@ -546,6 +718,12 @@ int main(int argc, char** argv) {
   // Lazy-shard synthesis: one 3x16x16 image sample's noise per stream, 64
   // samples (cache-resident, like a training batch's buffer).
   reports.push_back(bench_synth_normals(768, 64, 51));
+  // Fleet set-up kernels: the §7.2 partition's label draws and Algorithm
+  // 2's candidate scan on one 10k-client edge.
+  reports.push_back(
+      bench_partition_categorical(g_smoke ? 2000 : 20000, g_smoke ? 1 : 7));
+  reports.push_back(
+      bench_cov_greedy_edge(g_smoke ? 2000 : 10000, g_smoke ? 1 : 5));
   // Fleet control plane: the smoke pass checks pool invariance only.
   reports.push_back(bench_control_plane(g_smoke ? 3000 : 1000000));
 

@@ -26,6 +26,11 @@ generic tool checks. Rules are classes over `scripts/analysis_core.py` —
   raw-process-syscalls fork()/exec*()/pipe()/waitpid() outside
                        src/runtime/proc/, which owns the fd-discipline and
                        fork-safety invariants of the process backend.
+  fp-flag-scope        src/CMakeLists.txt gives -ffast-math to a TU other
+                       than nn/gemm.cpp, or a bit-exact kernel TU lacks
+                       -ffp-contract=off. It reads the CMake file, not C++:
+                       the walk checks src/CMakeLists.txt, and explicit
+                       paths named CMakeLists.txt or *.cmake.
 
 Suppression: append `// lint:allow(<rule>)` to the offending line (or the
 line directly above) with a justification nearby (policy in
@@ -329,6 +334,117 @@ test must exercise the raw syscall itself, suppress with
         return out
 
 
+class FpFlagScopeRule(Rule):
+    name = "fp-flag-scope"
+    explain = """
+Floating-point flag scope in src/CMakeLists.txt. Two rules the flag-set
+comment there states:
+  * nn/gemm.cpp is the only -ffast-math TU (-Ofast counts too). Fast math
+    licenses reassociation, FMA contraction, flush-to-zero and NaN/inf
+    assumptions, so any other TU that gets it (per file, or through
+    add_compile_options / target_compile_options / CMAKE_CXX_FLAGS) can
+    silently move bits that the bit-identity gates pin.
+  * The declared bit-exact kernel TUs (BIT_EXACT_TUS below) build with
+    -ffp-contract=off. GCC's C++ default is -ffp-contract=fast, which fuses
+    a*b + c into an FMA once -march=native offers one, so a lane kernel
+    that must reproduce a scalar reference's separately rounded product and
+    sum changes its results on FMA hosts only.
+The rule resolves set() / list(APPEND) variables and the last
+set_source_files_properties(... COMPILE_OPTIONS ...) per file, as CMake
+does. Fix the CMake file; there is no suppression for this rule.
+"""
+
+    FAST_MATH_TU = "nn/gemm.cpp"
+    BIT_EXACT_TUS = ("nn/conv.cpp", "nn/im2col.cpp",
+                     "runtime/categorical_bulk.cpp", "grouping/cov_scan.cpp")
+    FAST_MATH_FLAGS = ("-ffast-math", "-Ofast")
+    COMMAND = re.compile(r"\b(\w+)\s*\(")
+    VAR = re.compile(r"\$\{(\w+)\}")
+    GLOBAL_FLAG_COMMANDS = ("add_compile_options", "target_compile_options")
+
+    @staticmethod
+    def applies_to(path: Path) -> bool:
+        return path.name == "CMakeLists.txt" or path.suffix == ".cmake"
+
+    @staticmethod
+    def strip_comment(line: str) -> str:
+        quoted = False
+        for i, ch in enumerate(line):
+            if ch == '"':
+                quoted = not quoted
+            elif ch == "#" and not quoted:
+                return line[:i]
+        return line
+
+    def commands(self, ctx: FileContext):
+        """Yields (line, name, args) per CMake command, args unexpanded."""
+        text = "\n".join(self.strip_comment(l) for l in ctx.raw_lines)
+        for m in self.COMMAND.finditer(text):
+            depth, i = 1, m.end()
+            while i < len(text) and depth:
+                depth += {"(": 1, ")": -1}.get(text[i], 0)
+                i += 1
+            body = text[m.end():i - 1]
+            args = re.findall(r'"[^"]*"|[^\s"]+', body)
+            yield (text.count("\n", 0, m.start()) + 1, m.group(1).lower(),
+                   [a.strip('"') for a in args])
+
+    def expand(self, args: list[str], variables: dict[str, list[str]]):
+        out: list[str] = []
+        for arg in args:
+            arg = self.VAR.sub(lambda v: ";".join(variables.get(v[1], [])),
+                               arg)
+            out.extend(a for a in re.split(r"[;\s]+", arg) if a)
+        return out
+
+    def check(self, ctx: FileContext) -> list[Finding]:
+        if not self.applies_to(ctx.path):
+            return []
+        out: list[Finding] = []
+        variables: dict[str, list[str]] = {}
+        options: dict[str, tuple[int, list[str]]] = {}
+        for line, name, args in self.commands(ctx):
+            if name == "set" and args:
+                variables[args[0]] = self.expand(args[1:], variables)
+            elif name == "list" and len(args) >= 2 and args[0] == "APPEND":
+                variables.setdefault(args[1], []).extend(
+                    self.expand(args[2:], variables))
+            elif name == "set_source_files_properties" and \
+                    "PROPERTIES" in args:
+                split = args.index("PROPERTIES")
+                props = args[split + 1:]
+                if "COMPILE_OPTIONS" in props[:-1:2]:
+                    value = props[props.index("COMPILE_OPTIONS") + 1]
+                    flags = self.expand([value], variables)
+                    for tu in args[:split]:
+                        options[tu] = (line, flags)
+            if name in self.GLOBAL_FLAG_COMMANDS or (
+                    name in ("set", "string") and
+                    any("CMAKE_CXX_FLAGS" in a for a in args[:2])):
+                if any(f in self.FAST_MATH_FLAGS
+                       for f in self.expand(args, variables)):
+                    out.append(self.finding(
+                        ctx, line,
+                        f"{name}() applies fast math beyond "
+                        f"{self.FAST_MATH_TU}; keep -ffast-math in that "
+                        "one TU's COMPILE_OPTIONS"))
+        for tu, (line, flags) in sorted(options.items()):
+            if tu != self.FAST_MATH_TU and any(
+                    f in self.FAST_MATH_FLAGS for f in flags):
+                out.append(self.finding(
+                    ctx, line,
+                    f"{tu} gets fast math; {self.FAST_MATH_TU} is the only "
+                    "-ffast-math TU"))
+        for tu in self.BIT_EXACT_TUS:
+            line, flags = options.get(tu, (1, []))
+            if "-ffp-contract=off" not in flags:
+                out.append(self.finding(
+                    ctx, line,
+                    f"bit-exact TU {tu} lacks -ffp-contract=off; without it "
+                    "GCC may fuse a*b + c into an FMA under -march=native"))
+        return out
+
+
 RULES: list[Rule] = [
     BannedRngRule(),
     BannedWallclockRule(),
@@ -341,6 +457,9 @@ RULES: list[Rule] = [
     RawProcessSyscallsRule(),
 ]
 
+# Rules over CMake files rather than C++ sources.
+CMAKE_RULES: list[Rule] = [FpFlagScopeRule()]
+
 
 def main() -> int:
     ap = argparse.ArgumentParser(
@@ -349,16 +468,26 @@ def main() -> int:
     args = ap.parse_args()
 
     if args.explain:
-        return explain_rules(RULES, args.explain)
+        return explain_rules(RULES + CMAKE_RULES, args.explain)
 
     files = collect_files(args.root, LINT_DIRS, args.paths)
+    if args.paths:
+        cmake_files = [p for p in args.paths
+                       if FpFlagScopeRule.applies_to(p)]
+    else:
+        cmake_files = [args.root / "src" / "CMakeLists.txt"]
     findings: list[Finding] = []
     for path in files:
         ctx = FileContext(path)
         for rule in RULES:
             findings.extend(rule.check(ctx))
+    for path in cmake_files:
+        ctx = FileContext(path)
+        for rule in CMAKE_RULES:
+            findings.extend(rule.check(ctx))
 
-    return report("lint.py", args.root, files, RULES, findings, args.json)
+    return report("lint.py", args.root, files + cmake_files,
+                  RULES + CMAKE_RULES, findings, args.json)
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ void partition_one(ClientPopulation& pop, const PartitionSpec& spec,
   const std::vector<double> props =
       crng.dirichlet(spec.alpha, pop.num_classes());
   auto row = pop.label_counts_mutable(i);
-  for (std::size_t s = 0; s < size; ++s) ++row[crng.categorical(props)];
+  crng.categorical_counts(props, size, row);
   pop.set_seed(i, crng.next_u64());
 
   std::size_t row_total = 0;
@@ -77,10 +77,7 @@ ClientPopulation descriptor_partition(const PartitionSpec& spec,
                                       std::size_t num_classes,
                                       runtime::Rng& rng,
                                       runtime::ThreadPool* pool) {
-  if (spec.num_clients == 0)
-    throw std::invalid_argument("descriptor_partition: zero clients");
-  if (spec.size_min == 0 || spec.size_min > spec.size_max)
-    throw std::invalid_argument("descriptor_partition: bad size bounds");
+  validate_partition_spec(spec, "descriptor_partition");
 
   ClientPopulation pop(spec.num_clients, num_classes);
   const std::size_t blocks =

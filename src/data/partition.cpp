@@ -3,17 +3,29 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace groupfel::data {
+
+void validate_partition_spec(const PartitionSpec& spec, const char* who) {
+  const auto fail = [who](const char* what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (spec.num_clients == 0) fail("zero clients");
+  if (spec.size_min == 0 || spec.size_min > spec.size_max)
+    fail("bad size bounds");
+  if (!(std::isfinite(spec.alpha) && spec.alpha > 0.0))
+    fail("alpha must be finite and > 0");
+  if (!std::isfinite(spec.size_mean)) fail("size_mean must be finite");
+  if (!(std::isfinite(spec.size_std) && spec.size_std >= 0.0))
+    fail("size_std must be finite and >= 0");
+}
 
 std::vector<ClientShard> dirichlet_partition(
     std::shared_ptr<const DataSet> dataset, const PartitionSpec& spec,
     runtime::Rng& rng) {
   if (!dataset) throw std::invalid_argument("dirichlet_partition: null dataset");
-  if (spec.num_clients == 0)
-    throw std::invalid_argument("dirichlet_partition: zero clients");
-  if (spec.size_min == 0 || spec.size_min > spec.size_max)
-    throw std::invalid_argument("dirichlet_partition: bad size bounds");
+  validate_partition_spec(spec, "dirichlet_partition");
 
   const std::size_t m = dataset->num_classes();
   auto pools = dataset->label_pools();

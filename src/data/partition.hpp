@@ -21,6 +21,13 @@ struct PartitionSpec {
   std::size_t size_max = 200;
 };
 
+/// Throws std::invalid_argument, prefixed with `who` and naming the field,
+/// unless the spec has clients, 0 < size_min <= size_max, a finite alpha
+/// > 0, a finite size_mean and a finite size_std >= 0. Both partitioners
+/// call it first: a NaN or infinite alpha would otherwise yield NaN
+/// Dirichlet proportions.
+void validate_partition_spec(const PartitionSpec& spec, const char* who);
+
 /// Splits `dataset` into per-client shards. Sampling is without replacement
 /// from per-label pools; when a requested label pool is exhausted the draw
 /// falls back to the remaining pools (proportional to remaining size), so

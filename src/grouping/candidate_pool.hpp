@@ -66,12 +66,15 @@ class CandidatePool {
   }
 
   /// Tombstones `slot` and compacts once at least half the slots are dead.
-  /// Invalidates previously obtained slots when compaction runs.
-  void remove(std::size_t slot) {
+  /// Returns true when compaction ran: it invalidates previously obtained
+  /// slots, and a slot-aligned copy (CovCandidateLanes) must compact too.
+  bool remove(std::size_t slot) {
     GF_CHECK(dead_[slot] == 0, "CandidatePool: double remove of slot ", slot);
     dead_[slot] = 1;
     --live_;
-    if (live_ * 2 < items_.size()) compact();
+    if (live_ * 2 >= items_.size()) return false;
+    compact();
+    return true;
   }
 
  private:

@@ -11,10 +11,10 @@
 // implementation. params.parallel_windows runs the windows concurrently,
 // each on its own counter-based RNG stream, with groups emitted in
 // deterministic window order — bit-identical for any ThreadPool size.
-#include <limits>
 #include <numeric>
 
 #include "grouping/candidate_pool.hpp"
+#include "grouping/cov_scan.hpp"
 #include "grouping/grouping.hpp"
 
 namespace groupfel::grouping {
@@ -24,17 +24,24 @@ namespace {
 /// Algorithm 2 over one candidate pool; consumes `pool_items`, appends to
 /// `groups`. RNG draws: one next_below per opened group (line 3). The
 /// tombstone pool keeps candidate visit order identical to the historical
-/// erase-based pool, so the output is byte-identical to it.
+/// erase-based pool, and the lane scan scores each candidate bit for bit as
+/// IncrementalCov::value_with does and keeps the same first minimum, so the
+/// output is byte-identical to the erase-based scalar greedy.
 void greedy_over_pool(const data::LabelMatrix& matrix,
                       const GroupingParams& params, runtime::Rng& rng,
                       std::vector<std::size_t> pool_items, Grouping& groups) {
+  CovCandidateLanes lanes(matrix, pool_items);
   CandidatePool pool(std::move(pool_items));
+  const auto take = [&](std::size_t slot) {
+    lanes.remove(slot);
+    if (pool.remove(slot)) lanes.compact();
+  };
   while (!pool.empty()) {
     // Line 3: random first client — the paper notes this randomization is
     // what makes periodic regrouping produce fresh groups.
     const std::size_t first_slot = pool.nth_live_slot(rng.next_below(pool.size()));
     std::vector<std::size_t> group{pool.client(first_slot)};
-    pool.remove(first_slot);
+    take(first_slot);
 
     IncrementalCov inc(matrix.num_labels());
     inc.add(matrix.row(group[0]));
@@ -43,23 +50,15 @@ void greedy_over_pool(const data::LabelMatrix& matrix,
     while ((inc.value() > params.max_cov ||
             group.size() < params.min_group_size) &&
            !pool.empty()) {
-      // Line 5: the candidate that minimizes CoV(g ∪ c). Keeping the FIRST
-      // minimum matches the erase-based argmin's tie-breaking.
-      double best_cov = std::numeric_limits<double>::infinity();
-      std::size_t best_slot = 0;
-      pool.for_each([&](std::size_t slot, std::size_t client) {
-        const double c = inc.value_with(matrix.row(client));
-        if (c < best_cov) {
-          best_cov = c;
-          best_slot = slot;
-        }
-      });
+      // Line 5: the candidate that minimizes CoV(g ∪ c).
+      const CovCandidateLanes::Best best =
+          lanes.argmin(inc.counts(), inc.total());
       // Line 6: add if it improves CoV, or the group is still too small.
-      if (best_cov < inc.value() || group.size() < params.min_group_size) {
-        const std::size_t chosen = pool.client(best_slot);
+      if (best.cov < inc.value() || group.size() < params.min_group_size) {
+        const std::size_t chosen = pool.client(best.slot);
         inc.add(matrix.row(chosen));
         group.push_back(chosen);
-        pool.remove(best_slot);
+        take(best.slot);
       } else {
         break;  // Line 9: finalize (MaxCoV is a soft constraint).
       }

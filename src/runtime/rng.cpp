@@ -185,19 +185,35 @@ std::vector<double> Rng::dirichlet(std::span<const double> alpha) {
   return out;
 }
 
-std::size_t Rng::categorical(std::span<const double> weights) {
+namespace detail {
+
+double categorical_total(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("categorical: negative weight");
+    if (!(w >= 0.0))
+      throw std::invalid_argument("categorical: negative weight");
     total += w;
   }
   if (total <= 0.0) throw std::invalid_argument("categorical: zero total weight");
-  double u = next_double() * total;
+  if (!std::isfinite(total))
+    throw std::invalid_argument("categorical: non-finite total weight");
+  return total;
+}
+
+std::size_t categorical_index(double u,
+                              std::span<const double> weights) noexcept {
   for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
     u -= weights[i];
     if (u < 0.0) return i;
   }
   return weights.size() - 1;
+}
+
+}  // namespace detail
+
+std::size_t Rng::categorical(std::span<const double> weights) {
+  const double total = detail::categorical_total(weights);
+  return detail::categorical_index(next_double() * total, weights);
 }
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,

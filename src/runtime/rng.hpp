@@ -52,6 +52,26 @@ std::size_t add_normal_pairs(std::span<const double, kNormalLanes> u1,
                              std::size_t pairs, double scale,
                              const float* base, float* out) noexcept;
 
+/// Validated total of a categorical weight vector, summed left to right:
+/// throws std::invalid_argument if a weight is negative or NaN, or if the
+/// total is not finite and > 0.
+[[nodiscard]] double categorical_total(std::span<const double> weights);
+
+/// The index one categorical draw picks for u = next_double() * total: the
+/// first i < k - 1 whose running u -= weights[i] goes negative, else k - 1.
+[[nodiscard]] std::size_t categorical_index(
+    double u, std::span<const double> weights) noexcept;
+
+/// Draws per batch of the bulk categorical kernel.
+inline constexpr std::size_t kCategoricalLanes = 8;
+
+/// The kernel's batch step alone: ++counts[categorical_index(u[l], weights)]
+/// for every lane l, weights nonempty and >= 0. Exposed so tests can feed
+/// it lanes no validated stream produces (NaN u).
+void add_categorical_lanes(std::span<const double, kCategoricalLanes> u,
+                           std::span<const double> weights,
+                           std::span<std::uint32_t> counts) noexcept;
+
 }  // namespace detail
 
 /// xoshiro256++ generator. Small, fast, passes BigCrush; not cryptographic
@@ -108,6 +128,15 @@ class Rng {
 
   /// Draws an index from an (unnormalized, nonnegative) weight vector.
   [[nodiscard]] std::size_t categorical(std::span<const double> weights);
+
+  /// Adds n categorical draws to a histogram: counts ends exactly where n
+  /// calls of `++counts[categorical(weights)]` leave it, and so does the
+  /// stream (one next_double() per draw). Weights are validated and summed
+  /// once; full batches of kCategoricalLanes draws run through the lane
+  /// kernel in categorical_bulk.cpp, the n % kCategoricalLanes tail through
+  /// categorical()'s scalar chain. Requires counts.size() == weights.size().
+  void categorical_counts(std::span<const double> weights, std::size_t n,
+                          std::span<std::uint32_t> counts);
 
   /// In-place Fisher–Yates shuffle.
   template <typename T>

@@ -44,6 +44,7 @@ LINT_FIXTURES = [
     FIXTURES / "unordered_iteration.cpp",
     FIXTURES / "half_bitcast.cpp",
     FIXTURES / "raw_process.cpp",
+    FIXTURES / "fp_flag_scope.cmake",
 ]
 
 EXPECTED_ANALYZER_ACTIVE = {
@@ -62,6 +63,7 @@ EXPECTED_LINT_ACTIVE = {
     "unordered-iteration": 2,
     "half-bitcast": 3,
     "raw-process-syscalls": 4,
+    "fp-flag-scope": 5,
 }
 EXPECTED_LINT_SUPPRESSED = {
     "banned-wallclock": 1,
@@ -74,7 +76,7 @@ ANALYZER_RULES = ("unordered-iteration", "parallel-float-reduction",
                   "unguarded-field", "missing-guard-annotation")
 LINT_RULES = ("banned-rng", "banned-wallclock", "global-state", "naked-new",
               "const-cast", "include-guard", "unordered-iteration",
-              "half-bitcast", "raw-process-syscalls")
+              "half-bitcast", "raw-process-syscalls", "fp-flag-scope")
 
 failures: list[str] = []
 verbose = "-v" in sys.argv

@@ -18,6 +18,9 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "core/edge_server.hpp"
 #include "data/client_descriptor.hpp"
@@ -255,9 +258,66 @@ TEST(ParallelSampling, HistogramBitIdenticalAcrossPools) {
 // ---- Tombstone pool vs the historical erase-based greedy ------------------
 //
 // Reference implementations: verbatim copies of the pre-tombstone greedy
-// (O(n) vector::erase per admission). The production greedy must stay
-// BYTE-identical to these — same candidate visit order, same first-minimum
-// tie-breaking — in both classic and windowed-serial modes.
+// (O(n) vector::erase per admission, one scalar CoV per candidate). The
+// production greedy must stay BYTE-identical to these — same candidate
+// visit order, same first-minimum tie-breaking, and for CoVG the same bits
+// per candidate from its lane scan — in classic, windowed-serial and
+// parallel-windows modes.
+
+/// Copy of the scalar IncrementalCov (add, value, value_with verbatim), so
+/// the CoV oracle does not share code with src/.
+class ReferenceIncrementalCov {
+ public:
+  explicit ReferenceIncrementalCov(std::size_t num_labels)
+      : counts_(num_labels, 0) {}
+
+  void add(std::span<const std::size_t> client_counts) {
+    for (std::size_t j = 0; j < counts_.size(); ++j)
+      counts_[j] += client_counts[j];
+  }
+
+  [[nodiscard]] double value() const {
+    std::size_t total = 0;
+    for (auto c : counts_) total += c;
+    if (total == 0) return 0.0;
+    const double m = static_cast<double>(counts_.size());
+    const double sigma = std::sqrt(squared_deviation_sum(total) / m);
+    const double mu = static_cast<double>(total) / m;
+    return sigma / mu;
+  }
+
+  [[nodiscard]] double value_with(
+      std::span<const std::size_t> client_counts) const {
+    const double m = static_cast<double>(counts_.size());
+    double combined_total = 0.0;
+    double s = 0.0;
+    std::size_t total = 0;
+    for (std::size_t j = 0; j < counts_.size(); ++j)
+      total += counts_[j] + client_counts[j];
+    if (total == 0) return 0.0;
+    combined_total = static_cast<double>(total);
+    const double mu = combined_total / m;
+    for (std::size_t j = 0; j < counts_.size(); ++j) {
+      const double d = mu - static_cast<double>(counts_[j] + client_counts[j]);
+      s += d * d;
+    }
+    return std::sqrt(s / m) / mu;
+  }
+
+ private:
+  [[nodiscard]] double squared_deviation_sum(std::size_t total) const {
+    const double mu =
+        static_cast<double>(total) / static_cast<double>(counts_.size());
+    double s = 0.0;
+    for (auto c : counts_) {
+      const double d = mu - static_cast<double>(c);
+      s += d * d;
+    }
+    return s;
+  }
+
+  std::vector<std::size_t> counts_;
+};
 
 void reference_cov_greedy(const data::LabelMatrix& matrix,
                           const grouping::GroupingParams& params,
@@ -268,7 +328,7 @@ void reference_cov_greedy(const data::LabelMatrix& matrix,
     std::vector<std::size_t> group{pool[first_pos]};
     pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(first_pos));
 
-    grouping::IncrementalCov inc(matrix.num_labels());
+    ReferenceIncrementalCov inc(matrix.num_labels());
     inc.add(matrix.row(group[0]));
 
     while ((inc.value() > params.max_cov ||
@@ -314,9 +374,29 @@ grouping::Grouping reference_cov_grouping(
     const std::size_t end = std::min(n, start + window);
     window_pool.assign(pool.begin() + static_cast<std::ptrdiff_t>(start),
                        pool.begin() + static_cast<std::ptrdiff_t>(end));
-    reference_cov_greedy(matrix, params, rng, window_pool, groups);
+    if (params.parallel_windows) {
+      // One stream per window, forked from the post-shuffle state.
+      runtime::Rng wrng = rng.fork(start / window);
+      reference_cov_greedy(matrix, params, wrng, window_pool, groups);
+    } else {
+      reference_cov_greedy(matrix, params, rng, window_pool, groups);
+    }
   }
   return groups;
+}
+
+/// Rows drawn from a few fixed histograms, one of them all zero: the lane
+/// scan meets exact ties (its argmin must keep the first) and groups whose
+/// combined total is 0 (the T = 0 branch).
+data::LabelMatrix tie_matrix(std::size_t clients, std::uint64_t seed) {
+  const std::vector<std::vector<std::size_t>> patterns = {
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, {5, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 5, 0, 0, 0, 0, 0, 0, 0, 0}, {2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+      {0, 0, 9, 1, 0, 0, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0, 0, 0, 0, 3}};
+  runtime::Rng rng(seed);
+  std::vector<std::vector<std::size_t>> rows(clients);
+  for (auto& row : rows) row = patterns[rng.next_below(patterns.size())];
+  return data::LabelMatrix(std::move(rows), 10);
 }
 
 double reference_group_kld(const data::LabelMatrix& matrix,
@@ -413,16 +493,30 @@ grouping::Grouping reference_kldg_grouping(
 }
 
 TEST(TombstonePool, CovByteIdenticalToEraseBasedGreedy) {
-  for (const std::uint64_t seed : {3ull, 17ull}) {
-    const data::LabelMatrix matrix = make_matrix(160, seed);
-    for (const std::size_t window : {std::size_t{0}, std::size_t{48}}) {
-      grouping::GroupingParams params;
-      params.min_group_size = 6;
-      params.greedy_window = window;
-      runtime::Rng a(seed * 7 + 1), b(seed * 7 + 1);
-      EXPECT_EQ(reference_cov_grouping(matrix, params, a),
-                grouping::cov_grouping(matrix, params, b))
-          << "seed " << seed << " window " << window;
+  const std::vector<std::pair<std::string, data::LabelMatrix>> matrices = {
+      {"dirichlet seed 3", make_matrix(160, 3)},
+      {"dirichlet seed 17", make_matrix(160, 17)},
+      {"ties and zero rows", tie_matrix(300, 5)}};
+  // Windows not divisible by the 8 scan lanes, one that is, and 0 (the
+  // classic whole-pool greedy); 257 covers all 160 clients in one window.
+  for (const auto& [name, matrix] : matrices) {
+    for (const std::size_t window : {0, 13, 48, 257}) {
+      for (const bool parallel_windows : {false, true}) {
+        // MinGS-bound groups, and small groups closed by the MaxCoV test.
+        for (const auto& [min_size, max_cov] :
+             {std::pair{std::size_t{6}, 1.0}, std::pair{std::size_t{2}, 0.3}}) {
+          grouping::GroupingParams params;
+          params.min_group_size = min_size;
+          params.max_cov = max_cov;
+          params.greedy_window = window;
+          params.parallel_windows = parallel_windows;
+          runtime::Rng a(window * 7 + 1), b(window * 7 + 1);
+          EXPECT_EQ(reference_cov_grouping(matrix, params, a),
+                    grouping::cov_grouping(matrix, params, b))
+              << name << " window " << window << " parallel "
+              << parallel_windows << " MinGS " << min_size;
+        }
+      }
     }
   }
 }

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
+#include "data/client_descriptor.hpp"
 #include "data/label_matrix.hpp"
 #include "data/synthetic.hpp"
 #include "grouping/cov.hpp"
@@ -66,6 +71,46 @@ TEST(Partition, RejectsBadSpecs) {
                std::invalid_argument);
   EXPECT_THROW((void)dirichlet_partition(nullptr, small_spec(2, 0.5), rng),
                std::invalid_argument);
+}
+
+TEST(Partition, RejectsInvalidAlphaAndSizeMoments) {
+  // Before validation, alpha = inf or NaN gave NaN Dirichlet proportions
+  // and every sample landed in the last class; alpha <= 0 reached
+  // Rng::gamma's assert, which release builds compile out.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  struct Bad {
+    std::string field;
+    double value;
+  };
+  const std::vector<Bad> bad = {
+      {"alpha", 0.0},     {"alpha", -1.0},    {"alpha", inf},
+      {"alpha", nan},     {"size_mean", nan}, {"size_mean", inf},
+      {"size_std", -1.0}, {"size_std", nan},  {"size_std", inf}};
+  auto pool = make_pool(4000);
+  for (const Bad& b : bad) {
+    PartitionSpec spec = small_spec(20, 0.5);
+    if (b.field == "alpha") spec.alpha = b.value;
+    if (b.field == "size_mean") spec.size_mean = b.value;
+    if (b.field == "size_std") spec.size_std = b.value;
+    runtime::Rng rng(6);
+    const auto expect_rejected = [&](auto&& partition) {
+      try {
+        partition();
+        ADD_FAILURE() << b.field << " = " << b.value << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(b.field), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_rejected([&] { (void)dirichlet_partition(pool, spec, rng); });
+    expect_rejected([&] { (void)descriptor_partition(spec, 10, rng); });
+  }
+  // The boundary values stay valid: a point-mass size and a tiny alpha.
+  PartitionSpec spec = small_spec(20, 1e-3);
+  spec.size_std = 0.0;
+  runtime::Rng rng(7);
+  EXPECT_EQ(descriptor_partition(spec, 10, rng).total_samples(), 20u * 30u);
 }
 
 class PartitionSkewTest : public ::testing::TestWithParam<double> {};

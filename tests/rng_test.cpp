@@ -7,8 +7,11 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -191,11 +194,25 @@ TEST(Rng, CategoricalRespectsWeights) {
 }
 
 TEST(Rng, CategoricalRejectsBadWeights) {
+  // categorical() and categorical_counts() share the validation. NaN fails
+  // `w >= 0`; an infinite weight or total would leave u infinite or NaN and
+  // pick the last index for every draw.
   Rng rng(16);
-  const std::vector<double> zero{0.0, 0.0};
-  EXPECT_THROW((void)rng.categorical(zero), std::invalid_argument);
-  const std::vector<double> negative{1.0, -0.5};
-  EXPECT_THROW((void)rng.categorical(negative), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::uint32_t> counts(2, 0);
+  for (const std::vector<double>& bad :
+       {std::vector<double>{0.0, 0.0}, std::vector<double>{1.0, -0.5},
+        std::vector<double>{1.0, std::nan("")},
+        std::vector<double>{std::nan(""), 1.0}, std::vector<double>{1.0, inf},
+        std::vector<double>{1e308, 1e308}}) {
+    EXPECT_THROW((void)rng.categorical(bad), std::invalid_argument);
+    EXPECT_THROW(rng.categorical_counts(bad, 8, counts),
+                 std::invalid_argument);
+  }
+  const std::vector<double> three{1.0, 1.0, 1.0};
+  EXPECT_THROW(rng.categorical_counts(three, 8, counts),
+               std::invalid_argument);
+  EXPECT_EQ(counts, (std::vector<std::uint32_t>{0, 0}));
 }
 
 TEST(Rng, ShuffleIsPermutation) {
@@ -229,6 +246,99 @@ TEST(Rng, SampleWithoutReplacementRejectsOverdraw) {
   Rng rng(20);
   EXPECT_THROW((void)rng.sample_without_replacement(3, 4),
                std::invalid_argument);
+}
+
+// ---- Bulk categorical counts (Rng::categorical_counts) --------------------
+
+// A verbatim copy of categorical() before the bulk kernel: the stream
+// contract categorical_counts must keep, draw for draw.
+std::size_t categorical_reference(Rng& rng, std::span<const double> weights) {
+  double total = 0.0;
+  for (double w : weights) {
+    if (w < 0.0) throw std::invalid_argument("categorical: negative weight");
+    total += w;
+  }
+  if (total <= 0.0) throw std::invalid_argument("categorical: zero total weight");
+  double u = rng.next_double() * total;
+  for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
+    u -= weights[i];
+    if (u < 0.0) return i;
+  }
+  return weights.size() - 1;
+}
+
+// The reference's chain for a given u (its loop after the draw).
+std::size_t categorical_chain_reference(double u,
+                                        std::span<const double> weights) {
+  for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
+    u -= weights[i];
+    if (u < 0.0) return i;
+  }
+  return weights.size() - 1;
+}
+
+// Weight vectors of length k: Dirichlet-like, zeros at the start, middle and
+// end, denormals, and small integers.
+std::vector<std::vector<double>> categorical_weight_sets(std::size_t k,
+                                                         Rng& rng) {
+  std::vector<std::vector<double>> sets;
+  sets.push_back(rng.dirichlet(0.1, k));
+  if (k >= 2) {
+    std::vector<double> zeros(k);
+    for (auto& w : zeros) w = 0.01 + rng.next_double();
+    zeros[0] = 0.0;
+    if (k >= 4) zeros[k / 2] = zeros[k - 1] = 0.0;
+    sets.push_back(zeros);
+  }
+  std::vector<double> denormal(k);
+  for (std::size_t i = 0; i < k; ++i)
+    denormal[i] = (i % 2 == 0 ? 4.9e-324 : 1e-310) * static_cast<double>(i + 1);
+  sets.push_back(denormal);
+  std::vector<double> mixed = denormal;
+  mixed[k / 2] = 1.0;
+  sets.push_back(mixed);
+  std::vector<double> integers(k);
+  for (std::size_t i = 0; i < k; ++i)  // the last one is >= 1
+    integers[i] = static_cast<double>(rng.next_below(4) + (i + 1 == k));
+  sets.push_back(integers);
+  return sets;
+}
+
+TEST(Rng, CategoricalCountsMatchesCategoricalLoop) {
+  Rng weights_rng(29);
+  std::uint64_t seed = 1;
+  for (const std::size_t k : {1, 2, 3, 8, 10, 17}) {
+    for (const std::vector<double>& weights :
+         categorical_weight_sets(k, weights_rng)) {
+      for (const std::size_t n : {0, 1, 7, 8, 9, 200, 1000}) {
+        Rng ref(++seed), bulk(seed);
+        std::vector<std::uint32_t> want(k, 3), got(k, 3);  // adds to counts
+        for (std::size_t d = 0; d < n; ++d)
+          ++want[categorical_reference(ref, weights)];
+        bulk.categorical_counts(weights, n, got);
+        EXPECT_EQ(want, got) << "k " << k << " n " << n;
+        EXPECT_EQ(ref.next_u64(), bulk.next_u64()) << "k " << k << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(Rng, CategoricalLanesMatchTheChainOnBoundaryValues) {
+  // Values a validated stream never or almost never draws: u landing
+  // exactly on a prefix sum (u - w == 0 is not negative), u = 0 and -0,
+  // u just below the total, and NaN (never < 0, so the last index).
+  const std::vector<double> weights{1.0, 0.0, 2.0, 1.0, 0.0, 3.0};
+  const std::array<std::array<double, detail::kCategoricalLanes>, 2> lanes = {{
+      {0.0, 1.0, 3.0, 4.0, 7.0, -0.0, std::nextafter(1.0, 0.0),
+       std::nextafter(7.0, 0.0)},
+      {std::nan(""), 2.0, 3.5, 6.999, 0.5, std::nan(""), 1e-320, 4.0},
+  }};
+  for (const auto& u : lanes) {
+    std::vector<std::uint32_t> want(weights.size(), 0), got(weights.size(), 0);
+    for (const double v : u) ++want[categorical_chain_reference(v, weights)];
+    detail::add_categorical_lanes(u, weights, got);
+    EXPECT_EQ(want, got);
+  }
 }
 
 // ---- Bulk normals (Rng::add_normals and its 8-lane kernel) ----------------
