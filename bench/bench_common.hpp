@@ -1,4 +1,5 @@
-// Shared helpers for the per-figure benchmark drivers.
+// Shared helpers for the bench binaries (figures, precision_frontier,
+// micro_kernels).
 //
 // Scaling: the paper's experiments ran on 8 V100s; this repository targets
 // one CPU core. `--scale` (default 0.33) scales client counts / data sizes,
@@ -6,23 +7,18 @@
 // preserved; absolute cost/accuracy values shift with scale. Run with
 // `--scale=1 --rounds=200` for a paper-scale run.
 //
-// Every driver calls bench::init(argc, argv) first, which parses the uniform
-// flag set (the GROUPFEL_BENCH_* environment variables remain as fallback):
+// bench::init(argc, argv) parses the uniform flag set:
 //   --scale=F --rounds=N --seeds=N --budget=F --threads=N --out-dir=DIR
-//   --serial-cells --backend=inproc|proc --workers=N --checkpoint=PATH
-//   --resume --progress=SECONDS
-// Seed loops and method loops execute as one sweep over the shared
-// ThreadPool via core::run_sweep (bit-identical to the historical serial
-// loops); --serial-cells restores serial cell execution for A/B timing.
+//   --backend=inproc|proc --workers=N --checkpoint=PATH --resume
+//   --progress=SECONDS
+// Cells run as one sweep over the shared ThreadPool via core::run_sweep.
 // --backend=proc forks --workers processes and streams cells to them over
 // the wire protocol; with --checkpoint (+ --resume) a killed run restarts
 // from its completed cells. All modes produce bit-identical results.
 #pragma once
 
-#include <cstdlib>
+#include <cmath>
 #include <filesystem>
-#include <functional>
-#include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -32,22 +28,17 @@
 
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
-#include "util/ascii_plot.hpp"
-#include "util/csv.hpp"
 #include "util/flags.hpp"
-#include "util/format.hpp"
 
 namespace groupfel::bench {
 
-/// Resolved run options shared by every figure driver. Environment defaults
-/// are read once; init()'s command-line flags override them.
+/// Resolved run options shared by every bench binary (set by init()).
 struct BenchOptions {
   double scale = 0.33;
   std::size_t rounds = 30;
   std::size_t seeds = 3;
-  double budget = -1.0;  ///< < 0: derived from scale (see bench_budget)
+  double budget = -1.0;  ///< < 0: derived from scale (figures.cpp)
   std::string out_dir = "groupfel_results";
-  bool serial_cells = false;
   core::SweepBackend backend = core::SweepBackend::kInProcess;
   std::size_t workers = 0;      ///< proc backend; 0 = hardware concurrency
   std::string checkpoint;       ///< journal path; empty = no checkpointing
@@ -56,63 +47,38 @@ struct BenchOptions {
   std::unique_ptr<runtime::ThreadPool> owned_pool;  ///< set by --threads
 };
 
-/// "inproc" or "proc" -> SweepBackend (exits with a message otherwise).
+/// "inproc" or "proc" -> SweepBackend.
 inline core::SweepBackend parse_backend(const std::string& name) {
   if (name == "inproc") return core::SweepBackend::kInProcess;
   if (name == "proc") return core::SweepBackend::kProcess;
-  std::cerr << "unknown --backend '" << name << "' (expected inproc|proc)\n";
-  std::exit(2);
+  throw std::invalid_argument("--backend: expected inproc|proc, got '" +
+                              name + "'");
 }
 
-/// Checks a parsed count against its lower bound (seeds and rounds need at
-/// least 1; workers and threads at least 0) and narrows it to size_t.
-inline std::size_t checked_count(const std::string& name, std::int64_t value,
-                                 std::int64_t min) {
-  if (value < min)
-    throw std::invalid_argument(name + ": must be >= " + std::to_string(min) +
-                                ", got " + std::to_string(value));
-  return static_cast<std::size_t>(value);
-}
-
-inline std::size_t env_count(const std::string& name, const char* text,
-                             std::int64_t min) {
-  return checked_count(name, util::parse_int(name, text), min);
-}
-
-/// --name as a count: the flag when given (bounds-checked), else `fallback`.
+/// --name as a count: the flag when given, else `fallback`. Seeds and rounds
+/// need at least 1; workers and threads at least 0.
 inline std::size_t flag_count(const util::Flags& flags,
                               const std::string& name, std::size_t fallback,
                               std::int64_t min) {
   if (!flags.has(name)) return fallback;
-  return checked_count("--" + name, flags.get_int(name, 0), min);
+  const std::int64_t value = flags.get_int(name, 0);
+  if (value < min)
+    throw std::invalid_argument("--" + name + ": must be >= " +
+                                std::to_string(min) + ", got " +
+                                std::to_string(value));
+  return static_cast<std::size_t>(value);
+}
+
+/// Rejects a value of --name that fails `ok` (message names the flag).
+inline void check_flag(bool ok, const std::string& name, double value,
+                       const std::string& rule) {
+  if (!ok)
+    throw std::invalid_argument("--" + name + ": must be " + rule + ", got " +
+                                std::to_string(value));
 }
 
 inline BenchOptions& options() {
-  static BenchOptions opts = [] {
-    BenchOptions o;
-    if (const char* env = std::getenv("GROUPFEL_BENCH_SCALE"))
-      o.scale = util::parse_double("GROUPFEL_BENCH_SCALE", env);
-    if (const char* env = std::getenv("GROUPFEL_BENCH_ROUNDS"))
-      o.rounds = env_count("GROUPFEL_BENCH_ROUNDS", env, 1);
-    if (const char* env = std::getenv("GROUPFEL_BENCH_SEEDS"))
-      o.seeds = env_count("GROUPFEL_BENCH_SEEDS", env, 1);
-    if (const char* env = std::getenv("GROUPFEL_BENCH_BUDGET"))
-      o.budget = util::parse_double("GROUPFEL_BENCH_BUDGET", env);
-    if (const char* env = std::getenv("GROUPFEL_BENCH_OUT")) o.out_dir = env;
-    if (const char* env = std::getenv("GROUPFEL_BENCH_SERIAL"))
-      o.serial_cells = std::atoi(env) != 0;
-    if (const char* env = std::getenv("GROUPFEL_BENCH_BACKEND"))
-      o.backend = parse_backend(env);
-    if (const char* env = std::getenv("GROUPFEL_BENCH_WORKERS"))
-      o.workers = env_count("GROUPFEL_BENCH_WORKERS", env, 0);
-    if (const char* env = std::getenv("GROUPFEL_BENCH_CHECKPOINT"))
-      o.checkpoint = env;
-    if (const char* env = std::getenv("GROUPFEL_BENCH_RESUME"))
-      o.resume = std::atoi(env) != 0;
-    if (const char* env = std::getenv("GROUPFEL_BENCH_PROGRESS"))
-      o.progress = util::parse_double("GROUPFEL_BENCH_PROGRESS", env);
-    return o;
-  }();
+  static BenchOptions opts;
   return opts;
 }
 
@@ -124,23 +90,28 @@ inline std::string hardware_context_json() {
          std::to_string(std::thread::hardware_concurrency()) + "}";
 }
 
-/// Parses the uniform driver flags into options() and returns the parsed
-/// Flags so drivers can read their own extras (e.g. fig9's --model).
+/// Parses the uniform flags into options() and returns the parsed Flags so
+/// binaries can read their own extras (e.g. figures' --fig and --model).
 inline util::Flags init(int argc, char** argv) {
   util::Flags flags(argc, argv);
   BenchOptions& o = options();
   o.scale = flags.get_double("scale", o.scale);
+  check_flag(std::isfinite(o.scale) && o.scale > 0.0, "scale", o.scale,
+             "finite and > 0");
   o.rounds = flag_count(flags, "rounds", o.rounds, 1);
   o.seeds = flag_count(flags, "seeds", o.seeds, 1);
   o.budget = flags.get_double("budget", o.budget);
+  check_flag(std::isfinite(o.budget), "budget", o.budget,
+             "finite (< 0 derives it from --scale)");
   o.out_dir = flags.get_string("out-dir", o.out_dir);
-  o.serial_cells = flags.get_bool("serial-cells", o.serial_cells);
   const std::string backend = flags.get_string("backend", "");
   if (!backend.empty()) o.backend = parse_backend(backend);
   o.workers = flag_count(flags, "workers", o.workers, 0);
   o.checkpoint = flags.get_string("checkpoint", o.checkpoint);
   o.resume = flags.get_bool("resume", o.resume);
   o.progress = flags.get_double("progress", o.progress);
+  check_flag(std::isfinite(o.progress) && o.progress >= 0.0, "progress",
+             o.progress, "finite and >= 0");
   if (flags.has("threads"))
     o.owned_pool = std::make_unique<runtime::ThreadPool>(
         flag_count(flags, "threads", 0, 0));
@@ -155,14 +126,9 @@ inline std::size_t bench_rounds() { return options().rounds; }
 /// about means.
 inline std::size_t bench_seeds() { return options().seeds; }
 
-/// Pool driving both cell-level and trainer-internal parallelism; null
-/// means ThreadPool::global().
-inline runtime::ThreadPool* bench_pool() { return options().owned_pool.get(); }
-
 inline core::SweepOptions sweep_options() {
   core::SweepOptions opts;
-  opts.pool = bench_pool();
-  opts.serial_cells = options().serial_cells;
+  opts.pool = options().owned_pool.get();  // null: ThreadPool::global()
   opts.backend = options().backend;
   opts.workers = options().workers;
   opts.checkpoint_path = options().checkpoint;
@@ -192,20 +158,6 @@ inline core::GroupFelConfig base_config(std::uint64_t seed = 97) {
   cfg.eval_every = 1;
   cfg.seed = seed;
   return cfg;
-}
-
-/// Runs one named method on a prebuilt experiment and returns its history.
-inline core::TrainResult run_method(const core::Experiment& exp,
-                                    core::Method method,
-                                    const core::GroupFelConfig& base,
-                                    cost::Task task,
-                                    double cost_budget = 0.0) {
-  core::GroupFelConfig cfg = base;
-  core::apply_method(method, cfg);
-  core::GroupFelTrainer trainer(
-      exp.topology, cfg,
-      core::build_cost_model(task, core::cost_group_op(method)));
-  return trainer.train(cost_budget);
 }
 
 /// Pointwise average of per-seed training histories (same round grid).
@@ -242,153 +194,29 @@ inline core::TrainResult average_results(
   return avg;
 }
 
-/// Builds the per-seed cells of one configuration. The federation seed
-/// follows spec0.seed + 1000*s and the trainer seed is derived from it —
-/// the exact scheme of the historical serial loop, so sweeping the cells
-/// reproduces it bit for bit.
-template <typename Mutator>
-std::vector<core::SweepCell> seed_cells(const core::ExperimentSpec& spec0,
-                                        const core::GroupFelConfig& cfg0,
-                                        cost::Task task, cost::GroupOp op,
-                                        const std::string& label,
-                                        Mutator&& mutate) {
-  std::vector<core::SweepCell> cells(bench_seeds());
+/// The bench_seeds() copies of `cell` that a seed-averaged configuration
+/// runs. The federation seed follows spec.seed + 1000*s and the trainer
+/// seed is derived from it, so every driver's seed-s federation is the
+/// same federation.
+inline std::vector<core::SweepCell> seed_cells(const core::SweepCell& cell) {
+  std::vector<core::SweepCell> cells(bench_seeds(), cell);
   for (std::size_t s = 0; s < cells.size(); ++s) {
-    core::SweepCell& cell = cells[s];
-    cell.label = label + "/seed" + std::to_string(s);
-    cell.spec = spec0;
-    cell.spec.seed = spec0.seed + 1000 * s;
-    cell.config = cfg0;
-    cell.config.seed = cell.spec.seed ^ 0x5eed;
-    mutate(cell.config);
-    cell.task = task;
-    cell.op = op;
+    cells[s].label = cell.label + "/seed" + std::to_string(s);
+    cells[s].spec.seed = cell.spec.seed + 1000 * s;
+    cells[s].config.seed = cells[s].spec.seed ^ 0x5eed;
   }
   return cells;
 }
 
-/// Runs prebuilt cells through the shared scheduler (per-cell results in
-/// input order). Drivers with bespoke config grids use this directly.
-inline std::vector<core::SweepCellResult> run_cells(
-    const std::vector<core::SweepCell>& cells) {
-  return core::run_sweep(cells, sweep_options()).cells;
-}
-
-/// Runs an arbitrary configuration (mutator applies method/combo settings)
-/// across bench_seeds() freshly-built federations — concurrently, as one
-/// sweep — and averages the curves.
-template <typename Mutator>
-core::TrainResult run_config_seeds(const core::ExperimentSpec& spec0,
-                                   const core::GroupFelConfig& cfg0,
-                                   cost::Task task, cost::GroupOp op,
-                                   Mutator&& mutate) {
-  const auto cells = seed_cells(spec0, cfg0, task, op, "cfg",
-                                std::forward<Mutator>(mutate));
+/// Runs one configuration across bench_seeds() federations as one sweep
+/// and averages the curves.
+inline core::TrainResult run_config_seeds(const core::SweepCell& cell) {
+  std::vector<core::SweepCellResult> cells =
+      core::run_sweep(seed_cells(cell), sweep_options()).cells;
   std::vector<core::TrainResult> results;
   results.reserve(cells.size());
-  for (auto& cell : run_cells(cells)) results.push_back(std::move(cell.result));
+  for (auto& c : cells) results.push_back(std::move(c.result));
   return average_results(results);
-}
-
-/// Seed-averaged run of one named method.
-inline core::TrainResult run_method_seeds(const core::ExperimentSpec& spec,
-                                          core::Method method,
-                                          const core::GroupFelConfig& cfg,
-                                          cost::Task task) {
-  return run_config_seeds(
-      spec, cfg, task, core::cost_group_op(method),
-      [method](core::GroupFelConfig& c) { core::apply_method(method, c); });
-}
-
-/// One sweep over every (method x seed) cell of a figure; returns the
-/// seed-averaged result per method, in `methods` order. Bit-identical to
-/// calling run_method_seeds per method, but all cells overlap on the pool.
-/// `tweak` applies per-method config adjustments (e.g. FedCLAR's cluster
-/// round) before the method preset.
-inline std::vector<core::TrainResult> run_methods(
-    const core::ExperimentSpec& spec0,
-    const std::vector<core::Method>& methods,
-    const core::GroupFelConfig& base, cost::Task task,
-    const std::function<void(core::Method, core::GroupFelConfig&)>& tweak =
-        {}) {
-  const std::size_t seeds = bench_seeds();
-  std::vector<core::SweepCell> cells;
-  cells.reserve(methods.size() * seeds);
-  for (const auto method : methods) {
-    core::GroupFelConfig cfg = base;
-    if (tweak) tweak(method, cfg);
-    auto method_cells = seed_cells(
-        spec0, cfg, task, core::cost_group_op(method),
-        core::to_string(method),
-        [method](core::GroupFelConfig& c) { core::apply_method(method, c); });
-    for (auto& cell : method_cells) cells.push_back(std::move(cell));
-  }
-  const auto results = run_cells(cells);
-  std::vector<core::TrainResult> out;
-  out.reserve(methods.size());
-  std::vector<core::TrainResult> per_seed(seeds);
-  for (std::size_t m = 0; m < methods.size(); ++m) {
-    for (std::size_t s = 0; s < seeds; ++s)
-      per_seed[s] = results[m * seeds + s].result;
-    out.push_back(average_results(per_seed));
-  }
-  return out;
-}
-
-/// Converts a history to an accuracy-vs-cost series.
-inline util::Series cost_series(const std::string& name,
-                                const core::TrainResult& result) {
-  util::Series s;
-  s.name = name;
-  for (const auto& m : result.history) {
-    s.x.push_back(m.cumulative_cost);
-    s.y.push_back(m.accuracy);
-  }
-  return s;
-}
-
-/// Best accuracy reached within a cost budget (Fig. 10/11 protocol: every
-/// method gets the SAME spend; history entries beyond it are ignored).
-inline double accuracy_at_cost(const core::TrainResult& result,
-                               double budget) {
-  double best = 0.0;
-  for (const auto& m : result.history)
-    if (m.cumulative_cost <= budget) best = std::max(best, m.accuracy);
-  return best;
-}
-
-/// Shared budget for the cost-domain comparisons, scaled off the default
-/// bench scale (the paper uses 1e6 at full scale). Override with --budget.
-inline double bench_budget() {
-  if (options().budget >= 0.0) return options().budget;
-  return 4e5 * (bench_scale() / 0.33);
-}
-
-/// Converts a history to an accuracy-vs-round series.
-inline util::Series round_series(const std::string& name,
-                                 const core::TrainResult& result) {
-  util::Series s;
-  s.name = name;
-  for (const auto& m : result.history) {
-    s.x.push_back(static_cast<double>(m.round));
-    s.y.push_back(m.accuracy);
-  }
-  return s;
-}
-
-/// Writes a set of series as one long-format CSV (series,x,y).
-inline void write_series_csv(const std::string& filename,
-                             const std::string& x_name,
-                             const std::string& y_name,
-                             const std::vector<util::Series>& series) {
-  util::CsvWriter csv(results_dir() + "/" + filename,
-                      {"series", x_name, y_name});
-  for (const auto& s : series)
-    for (std::size_t i = 0; i < s.x.size(); ++i)
-      csv.row_strings({s.name, util::format_double(s.x[i]),
-                       util::format_double(s.y[i])});
-  csv.flush();
-  std::cout << "wrote " << results_dir() << "/" << filename << "\n";
 }
 
 }  // namespace groupfel::bench

@@ -23,6 +23,8 @@
 
 #include "bench_common.hpp"
 #include "runtime/timer.hpp"
+#include "util/ascii_plot.hpp"
+#include "util/csv.hpp"
 #include "util/format.hpp"
 
 using namespace groupfel;
@@ -178,12 +180,11 @@ int main(int argc, char** argv) {
     CellResult r;
     r.cell = cell;
     runtime::Timer t;
-    const core::TrainResult res = bench::run_config_seeds(
-        spec, base, spec.task, core::cost_group_op(core::Method::kGroupFel),
-        [&cell](core::GroupFelConfig& c) {
-          core::apply_method(core::Method::kGroupFel, c);
-          c.precision = cell.precision;
-        });
+    core::SweepCell sweep_cell{cell.name, spec, base, spec.task,
+                               core::cost_group_op(core::Method::kGroupFel)};
+    core::apply_method(core::Method::kGroupFel, sweep_cell.config);
+    sweep_cell.config.precision = cell.precision;
+    const core::TrainResult res = bench::run_config_seeds(sweep_cell);
     r.seconds = t.seconds();
     r.final_acc = res.final_accuracy;
     r.best_acc = res.best_accuracy;

@@ -1,6 +1,8 @@
 #include "core/experiment.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "data/client_descriptor.hpp"
 #include "data/lazy_shard.hpp"
@@ -115,6 +117,9 @@ std::size_t scaled(std::size_t base, double scale) {
 }  // namespace
 
 ExperimentSpec default_cifar_spec(double scale) {
+  if (!(std::isfinite(scale) && scale > 0.0))
+    throw std::invalid_argument("default spec: scale must be finite and > 0, "
+                                "got " + std::to_string(scale));
   ExperimentSpec spec;
   spec.task = cost::Task::kCifar;
   spec.num_clients = scaled(300, scale);

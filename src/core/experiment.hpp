@@ -73,9 +73,9 @@ struct Experiment {
 [[nodiscard]] cost::CostModel build_cost_model(cost::Task task,
                                                cost::GroupOp secagg_variant);
 
-/// A paper-preset scaled to this repository's single-core budget. The
-/// `scale` knob (default from GROUPFEL_SCALE env var, 1.0 otherwise)
-/// multiplies client counts; benches use < 1 for quick runs.
+/// A paper-preset scaled to this repository's single-core budget. `scale`
+/// multiplies client counts; benches use < 1 for quick runs. Throws
+/// std::invalid_argument unless `scale` is finite and > 0.
 [[nodiscard]] ExperimentSpec default_cifar_spec(double scale = 1.0);
 [[nodiscard]] ExperimentSpec default_sc_spec(double scale = 1.0);
 

@@ -88,6 +88,10 @@ std::vector<ClientShard> dirichlet_partition(
 std::vector<std::vector<std::size_t>> assign_to_edges(std::size_t num_clients,
                                                       std::size_t num_edges) {
   if (num_edges == 0) throw std::invalid_argument("assign_to_edges: 0 edges");
+  if (num_clients < num_edges)
+    throw std::invalid_argument(
+        "assign_to_edges: " + std::to_string(num_clients) + " clients for " +
+        std::to_string(num_edges) + " edges (an edge would be empty)");
   std::vector<std::vector<std::size_t>> edges(num_edges);
   const std::size_t base = num_clients / num_edges;
   const std::size_t extra = num_clients % num_edges;

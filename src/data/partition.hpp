@@ -38,7 +38,9 @@ void validate_partition_spec(const PartitionSpec& spec, const char* who);
     runtime::Rng& rng);
 
 /// Assigns clients to edge servers contiguously (paper: 3 edges x 100
-/// clients). Returns per-edge client-index lists.
+/// clients). Returns per-edge client-index lists. Throws
+/// std::invalid_argument when an edge would get no client (num_edges == 0
+/// or num_clients < num_edges).
 [[nodiscard]] std::vector<std::vector<std::size_t>> assign_to_edges(
     std::size_t num_clients, std::size_t num_edges);
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 namespace groupfel::core {
 namespace {
 
@@ -84,6 +88,25 @@ TEST(Experiment, ScTaskUses35Classes) {
   spec.task = cost::Task::kSpeechCommands;
   const Experiment exp = build_experiment(spec);
   EXPECT_EQ(exp.data_spec.num_classes, 35u);
+}
+
+TEST(Experiment, DefaultSpecsRejectBadScale) {
+  for (const double scale : {std::nan(""), -1.0, 0.0,
+                             std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)default_cifar_spec(scale), std::invalid_argument)
+        << scale;
+    EXPECT_THROW((void)default_sc_spec(scale), std::invalid_argument)
+        << scale;
+  }
+  EXPECT_EQ(default_cifar_spec(0.12).num_clients, 36u);
+}
+
+TEST(Experiment, FewerClientsThanEdgesIsRejected) {
+  // A vanishing scale rounds to one client on three edges; the build must
+  // fail loudly instead of handing empty edges to the grouping.
+  const ExperimentSpec spec = default_cifar_spec(1e-9);
+  ASSERT_EQ(spec.num_clients, 1u);
+  EXPECT_THROW((void)build_experiment(spec), std::invalid_argument);
 }
 
 TEST(CostModelBuilder, CombinesSecAggAndBackdoor) {

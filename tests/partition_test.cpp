@@ -171,6 +171,10 @@ TEST(AssignToEdges, RemainderSpread) {
 
 TEST(AssignToEdges, RejectsZeroEdges) {
   EXPECT_THROW((void)assign_to_edges(10, 0), std::invalid_argument);
+  // Fewer clients than edges would leave an edge with no client.
+  EXPECT_THROW((void)assign_to_edges(1, 3), std::invalid_argument);
+  EXPECT_THROW((void)assign_to_edges(0, 1), std::invalid_argument);
+  EXPECT_EQ(assign_to_edges(3, 3).size(), 3u);
 }
 
 }  // namespace
