@@ -24,6 +24,7 @@
 // and the im2col'd first layers of ResNet3 (CIFAR task) and CNN5 (Speech
 // Commands task) at batch 32.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -352,10 +353,11 @@ KernelReport bench_synth_normals(std::size_t n, std::size_t samples,
 /// §7.2 partition histograms — the per-client label draws of
 /// descriptor_partition on fleet_1m-shaped clients (Dirichlet(0.5) over 10
 /// classes, 200 samples each). Naive is the scalar loop
-/// ++row[categorical(props)]; optimized is the 8-lane Rng::categorical_counts.
-/// Both define the same histograms and leave each stream in the same place,
-/// so the error column is the share of mismatched clients (exact match
-/// required).
+/// ++row[categorical(props)]; optimized is the stream kernel
+/// runtime::categorical_counts over groups of eight clients, one lane each,
+/// as the partition calls it. Both define the same histograms and leave each
+/// stream in the same place, so the error column is the share of mismatched
+/// clients (exact match required).
 KernelReport bench_partition_categorical(std::size_t clients,
                                          std::size_t reps) {
   constexpr std::size_t kClasses = 10, kSamples = 200;
@@ -385,15 +387,23 @@ KernelReport bench_partition_categorical(std::size_t clients,
     }
   };
   const auto opt = [&] {
+    constexpr std::size_t kLanes = runtime::kCategoricalLanes;
     std::fill(opt_counts.begin(), opt_counts.end(), 0u);
-    for (std::size_t c = 0; c < clients; ++c) {
-      runtime::Rng rng(c + 1);
-      rng.categorical_counts(
-          std::span<const double>(props.data() + c * kClasses, kClasses),
-          kSamples,
-          std::span<std::uint32_t>(opt_counts.data() + c * kClasses,
-                                   kClasses));
-      opt_next[c] = rng.next_u64();
+    std::array<runtime::Rng, kLanes> rng;
+    std::array<runtime::CategoricalStream, kLanes> lanes;
+    for (std::size_t g = 0; g < clients; g += kLanes) {
+      const std::size_t group = std::min(kLanes, clients - g);
+      for (std::size_t l = 0; l < group; ++l) {
+        const std::size_t c = g + l;
+        rng[l] = runtime::Rng(c + 1);
+        const std::span<const double> w(props.data() + c * kClasses, kClasses);
+        lanes[l] = {&rng[l], w, kSamples,
+                    std::span<std::uint32_t>(opt_counts.data() + c * kClasses,
+                                             kClasses)};
+      }
+      runtime::categorical_counts(std::span(lanes.data(), group));
+      for (std::size_t l = 0; l < group; ++l)
+        opt_next[g + l] = rng[l].next_u64();
     }
   };
   naive();

@@ -4,6 +4,8 @@
 #include <deque>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -36,6 +38,19 @@ namespace {
   std::vector<std::byte> out = w.take();
   out.insert(out.end(), body.begin(), body.end());
   return out;
+}
+
+/// The error for a worker that died with `label`'s cell in flight; `stream`
+/// says how its pipe showed the death.
+[[nodiscard]] std::runtime_error worker_death(pid_t pid,
+                                              const proc::ExitStatus& exit,
+                                              const std::string& label,
+                                              const std::string& stream) {
+  return std::runtime_error(util::cat(
+      "sweep worker pid ", pid,
+      exit.signaled ? " killed by signal " : " exited with code ", exit.code,
+      " while running cell '", label, "' (stream: ", stream,
+      "); completed cells remain in the checkpoint journal"));
 }
 
 }  // namespace
@@ -139,8 +154,20 @@ void run_sweep_process(
       return;
     }
     const std::size_t cell_index = pending[next++];
-    proc::write_frame_fd(workers[w].write_fd(), kCellFrame,
-                         indexed_payload(cell_index, encode_cell(cells[cell_index])));
+    const std::vector<std::byte> payload =
+        indexed_payload(cell_index, encode_cell(cells[cell_index]));
+    try {
+      proc::write_frame_fd(workers[w].write_fd(), kCellFrame, payload);
+    } catch (const std::system_error& e) {
+      // A worker that is already dead has no read end: the write fails
+      // with EPIPE. Reap it (closing our end first, so a live one sees EOF
+      // and exits) and report it as a read of EOF would. An oversized
+      // payload is not a write error and passes through.
+      const pid_t pid = workers[w].pid();
+      workers[w].close_write();
+      const proc::ExitStatus exit = workers[w].wait();
+      throw worker_death(pid, exit, cells[cell_index].label, e.what());
+    }
     current[w] = cell_index;
     ++outstanding;
   };
@@ -165,15 +192,10 @@ void run_sweep_process(
       // Worker died (or corrupted its stream) with a cell in flight. Reap it
       // so the error names the signal/exit code; cells already completed were
       // journaled before this point and survive for --resume.
-      const std::size_t cell_index = current[w];
       const pid_t pid = workers[w].pid();
       const proc::ExitStatus exit = workers[w].wait();
-      throw std::runtime_error(util::cat(
-          "sweep worker pid ", pid,
-          exit.signaled ? " killed by signal " : " exited with code ",
-          exit.code, " while running cell '", cells[cell_index].label,
-          "' (stream: ", proc::to_string(status),
-          "); completed cells remain in the checkpoint journal"));
+      throw worker_death(pid, exit, cells[current[w]].label,
+                         proc::to_string(status));
     }
 
     nn::ByteReader header(frame.payload);

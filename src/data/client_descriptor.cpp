@@ -1,6 +1,7 @@
 #include "data/client_descriptor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -42,33 +43,52 @@ namespace {
 /// decomposition has NO effect on the result (each client's draws come from
 /// its own index-keyed stream and write only its own rows); it just keeps
 /// task-dispatch overhead negligible next to ~size_mean categorical draws
-/// per client.
+/// per client. A multiple of runtime::kCategoricalLanes, so every group but
+/// the population's last is full.
 constexpr std::size_t kPartitionBlock = 1024;
 
-/// One client's draws: size, Dirichlet proportions, histogram fill, seed.
-void partition_one(ClientPopulation& pop, const PartitionSpec& spec,
-                   const runtime::Rng& rng, std::size_t i) {
-  // One independent stream per client, keyed by index — the partition is
-  // reproducible and is evaluated in any order (or in parallel).
-  runtime::Rng crng = rng.fork(i);
-  const double draw = crng.normal(spec.size_mean, spec.size_std);
-  const auto clamped = std::clamp(
-      static_cast<long long>(std::llround(draw)),
-      static_cast<long long>(spec.size_min),
-      static_cast<long long>(spec.size_max));
-  const std::size_t size = static_cast<std::size_t>(clamped);
-  pop.set_data_count(i, size);
+/// Clients [i0, i1), eight at a time: each client forks its stream, draws
+/// its size and its Dirichlet proportions (into `props`, k per lane), then
+/// one categorical_counts() call fills the group's histogram rows, and each
+/// client's next draw is its seed. The draws per stream are exactly those of
+/// fork(i), normal(), dirichlet(), `++row[categorical(props)]` x size and
+/// next_u64().
+void partition_block(ClientPopulation& pop, const PartitionSpec& spec,
+                     const runtime::Rng& rng, std::size_t i0, std::size_t i1,
+                     std::span<double> props) {
+  constexpr std::size_t kLanes = runtime::kCategoricalLanes;
+  const std::size_t k = pop.num_classes();
+  std::array<runtime::Rng, kLanes> crng;
+  std::array<runtime::CategoricalStream, kLanes> lanes;
+  for (std::size_t g = i0; g < i1; g += kLanes) {
+    const std::size_t group = std::min(kLanes, i1 - g);
+    for (std::size_t l = 0; l < group; ++l) {
+      const std::size_t i = g + l;
+      // One independent stream per client, keyed by index — the partition
+      // is reproducible and is evaluated in any order (or in parallel).
+      crng[l] = rng.fork(i);
+      const double draw = crng[l].normal(spec.size_mean, spec.size_std);
+      const auto clamped = std::clamp(
+          static_cast<long long>(std::llround(draw)),
+          static_cast<long long>(spec.size_min),
+          static_cast<long long>(spec.size_max));
+      const std::size_t size = static_cast<std::size_t>(clamped);
+      pop.set_data_count(i, size);
 
-  const std::vector<double> props =
-      crng.dirichlet(spec.alpha, pop.num_classes());
-  auto row = pop.label_counts_mutable(i);
-  crng.categorical_counts(props, size, row);
-  pop.set_seed(i, crng.next_u64());
-
-  std::size_t row_total = 0;
-  for (auto c : row) row_total += c;
-  GF_CHECK_EQ(row_total, size, "descriptor_partition: client ", i,
-              " histogram does not sum to its data count");
+      const std::span<double> p = props.subspan(l * k, k);
+      crng[l].dirichlet_into(spec.alpha, p);
+      lanes[l] = {&crng[l], p, size, pop.label_counts_mutable(i)};
+    }
+    runtime::categorical_counts(std::span(lanes.data(), group));
+    for (std::size_t l = 0; l < group; ++l) {
+      const std::size_t i = g + l;
+      pop.set_seed(i, crng[l].next_u64());
+      std::size_t row_total = 0;
+      for (auto c : lanes[l].counts) row_total += c;
+      GF_CHECK_EQ(row_total, lanes[l].n, "descriptor_partition: client ", i,
+                  " histogram does not sum to its data count");
+    }
+  }
 }
 
 }  // namespace
@@ -85,7 +105,8 @@ ClientPopulation descriptor_partition(const PartitionSpec& spec,
   const auto fill_block = [&](std::size_t bi) {
     const std::size_t i0 = bi * kPartitionBlock;
     const std::size_t i1 = std::min(spec.num_clients, i0 + kPartitionBlock);
-    for (std::size_t i = i0; i < i1; ++i) partition_one(pop, spec, rng, i);
+    std::vector<double> props(runtime::kCategoricalLanes * num_classes);
+    partition_block(pop, spec, rng, i0, i1, props);
   };
   if (pool != nullptr && pool->size() > 1 && blocks > 1) {
     pool->parallel_for(blocks, fill_block);

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 namespace groupfel::runtime::proc {
 
@@ -129,8 +130,8 @@ void write_frame_fd(int fd, std::uint8_t type,
     if (w > 0) {
       sent += static_cast<std::size_t>(w);
     } else if (w < 0 && errno != EINTR) {
-      throw std::runtime_error(std::string("proc::write_frame_fd: write: ") +
-                               std::strerror(errno));
+      throw std::system_error(errno, std::generic_category(),
+                              "proc::write_frame_fd: write");
     }
   }
 }

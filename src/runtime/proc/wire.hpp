@@ -82,8 +82,9 @@ enum class ReadStatus {
 [[nodiscard]] ReadStatus read_frame_fd(int fd, Frame& out);
 
 /// Blocking framed write. Loops over short writes and EINTR; throws
-/// std::runtime_error on a hard write error (EPIPE surfaces here when the
-/// peer died and SIGPIPE is suppressed — see proc::ScopedSigpipeIgnore).
+/// std::system_error on a hard write error (EPIPE surfaces here when the
+/// peer died and SIGPIPE is suppressed — see proc::ScopedSigpipeIgnore), and
+/// encode_frame()'s std::runtime_error for an oversized payload.
 void write_frame_fd(int fd, std::uint8_t type, std::span<const std::byte> payload);
 
 }  // namespace groupfel::runtime::proc

@@ -26,10 +26,6 @@ NormalPair box_muller(double u1, double u2) noexcept {
 }  // namespace detail
 
 namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 // The draws of one Box–Muller pair, in stream order: u1 (redrawn while it
 // would make log(u1) blow up), then u2.
 void draw_pair_uniforms(Rng& rng, double& u1, double& u2) noexcept {
@@ -47,21 +43,9 @@ Rng::Rng(std::uint64_t seed) noexcept {
 Rng Rng::fork(std::uint64_t salt) const noexcept {
   // Mix the current state with the salt through splitmix so sibling forks
   // (salt 0, 1, 2, ...) are decorrelated from each other and the parent.
-  std::uint64_t sm = s_[0] ^ rotl(s_[2], 17) ^ (salt * 0x9e3779b97f4a7c15ull);
+  std::uint64_t sm = s_[0] ^ detail::rotl(s_[2], 17) ^ (salt * 0x9e3779b97f4a7c15ull);
   Rng child(splitmix64(sm));
   return child;
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t n) noexcept {
@@ -79,10 +63,6 @@ std::uint64_t Rng::next_below(std::uint64_t n) noexcept {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-double Rng::next_double() noexcept {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -152,40 +132,48 @@ double Rng::gamma(double shape) noexcept {
   }
 }
 
-std::vector<double> Rng::dirichlet(double alpha, std::size_t k) {
-  std::vector<double> out(k);
+namespace {
+// The one Dirichlet body: gamma(alpha_at(i)) for each category in order,
+// their left-to-right sum, then each divided by it.
+template <typename AlphaAt>
+void dirichlet_body(Rng& rng, AlphaAt alpha_at, std::span<double> out) {
   double sum = 0.0;
-  for (auto& g : out) {
-    g = gamma(alpha);
-    sum += g;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = rng.gamma(alpha_at(i));
+    sum += out[i];
   }
   if (sum <= 0.0) {
     // Extreme concentration underflow: put all mass on one category.
-    out.assign(k, 0.0);
-    out[next_below(k)] = 1.0;
-    return out;
+    std::fill(out.begin(), out.end(), 0.0);
+    out[rng.next_below(out.size())] = 1.0;
+    return;
   }
-  for (auto& g : out) g /= sum;
+  for (double& g : out) g /= sum;
+}
+}  // namespace
+
+void Rng::dirichlet_into(double alpha, std::span<double> out) noexcept {
+  dirichlet_body(*this, [alpha](std::size_t) { return alpha; }, out);
+}
+
+void Rng::dirichlet_into(std::span<const double> alpha,
+                         std::span<double> out) {
+  if (alpha.size() != out.size())
+    throw std::invalid_argument("dirichlet_into: alpha/out size mismatch");
+  dirichlet_body(*this, [alpha](std::size_t i) { return alpha[i]; }, out);
+}
+
+std::vector<double> Rng::dirichlet(double alpha, std::size_t k) {
+  std::vector<double> out(k);
+  dirichlet_into(alpha, out);
   return out;
 }
 
 std::vector<double> Rng::dirichlet(std::span<const double> alpha) {
   std::vector<double> out(alpha.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < alpha.size(); ++i) {
-    out[i] = gamma(alpha[i]);
-    sum += out[i];
-  }
-  if (sum <= 0.0) {
-    out.assign(alpha.size(), 0.0);
-    out[next_below(alpha.size())] = 1.0;
-    return out;
-  }
-  for (auto& g : out) g /= sum;
+  dirichlet_into(alpha, out);
   return out;
 }
-
-namespace detail {
 
 double categorical_total(std::span<const double> weights) {
   double total = 0.0;
@@ -200,20 +188,14 @@ double categorical_total(std::span<const double> weights) {
   return total;
 }
 
-std::size_t categorical_index(double u,
-                              std::span<const double> weights) noexcept {
+std::size_t Rng::categorical(std::span<const double> weights) {
+  const double total = categorical_total(weights);  // throws before drawing
+  double u = next_double() * total;
   for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
     u -= weights[i];
     if (u < 0.0) return i;
   }
   return weights.size() - 1;
-}
-
-}  // namespace detail
-
-std::size_t Rng::categorical(std::span<const double> weights) {
-  const double total = detail::categorical_total(weights);
-  return detail::categorical_index(next_double() * total, weights);
 }
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,

@@ -52,27 +52,42 @@ std::size_t add_normal_pairs(std::span<const double, kNormalLanes> u1,
                              std::size_t pairs, double scale,
                              const float* base, float* out) noexcept;
 
-/// Validated total of a categorical weight vector, summed left to right:
-/// throws std::invalid_argument if a weight is negative or NaN, or if the
-/// total is not finite and > 0.
-[[nodiscard]] double categorical_total(std::span<const double> weights);
-
-/// The index one categorical draw picks for u = next_double() * total: the
-/// first i < k - 1 whose running u -= weights[i] goes negative, else k - 1.
-[[nodiscard]] std::size_t categorical_index(
-    double u, std::span<const double> weights) noexcept;
-
-/// Draws per batch of the bulk categorical kernel.
-inline constexpr std::size_t kCategoricalLanes = 8;
-
-/// The kernel's batch step alone: ++counts[categorical_index(u[l], weights)]
-/// for every lane l, weights nonempty and >= 0. Exposed so tests can feed
-/// it lanes no validated stream produces (NaN u).
-void add_categorical_lanes(std::span<const double, kCategoricalLanes> u,
-                           std::span<const double> weights,
-                           std::span<std::uint32_t> counts) noexcept;
+constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+  return (x << k) | (x >> (64 - k));
+}
 
 }  // namespace detail
+
+class Rng;
+
+/// Validated total of a categorical weight vector, summed left to right:
+/// throws std::invalid_argument if a weight is negative or NaN, or if the
+/// total is not finite and > 0. categorical() and categorical_counts() both
+/// validate through it.
+[[nodiscard]] double categorical_total(std::span<const double> weights);
+
+/// Streams per call of the bulk categorical kernel.
+inline constexpr std::size_t kCategoricalLanes = 8;
+
+/// One lane of categorical_counts(): n draws from `rng` over `weights`,
+/// added to `counts`.
+struct CategoricalStream {
+  Rng* rng = nullptr;
+  std::span<const double> weights;
+  std::size_t n = 0;
+  std::span<std::uint32_t> counts;
+};
+
+/// The bulk categorical kernel (runtime/categorical_bulk.cpp): for each of
+/// up to kCategoricalLanes streams, counts ends exactly where n calls of
+/// `++counts[categorical(weights)]` on that stream leave it, and so does the
+/// stream (one next_u64() per draw). The streams advance together, one
+/// vector lane each; a lane whose n is reached drops out. Throws
+/// std::invalid_argument, before any stream draws, unless there are at most
+/// kCategoricalLanes streams, all with the same nonempty
+/// k = weights.size() = counts.size(), and categorical_total() accepts every
+/// stream's weights.
+void categorical_counts(std::span<const CategoricalStream> streams);
 
 /// xoshiro256++ generator. Small, fast, passes BigCrush; not cryptographic
 /// (the secagg module layers a keyed PRG on top for mask expansion).
@@ -86,7 +101,19 @@ class Rng {
   /// Derives an independent child stream; `salt` distinguishes siblings.
   [[nodiscard]] Rng fork(std::uint64_t salt) const noexcept;
 
-  [[nodiscard]] std::uint64_t next_u64() noexcept;
+  /// One xoshiro256++ step. Inline: the §7.2 partition and the Box–Muller
+  /// draws call it hundreds of times per client.
+  [[nodiscard]] std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = detail::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = detail::rotl(s_[3], 45);
+    return result;
+  }
 
   // UniformRandomBitGenerator interface so <random> distributions work too.
   static constexpr result_type min() noexcept { return 0; }
@@ -96,8 +123,10 @@ class Rng {
   /// Uniform in [0, n). Unbiased via rejection (Lemire's method).
   [[nodiscard]] std::uint64_t next_below(std::uint64_t n) noexcept;
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double next_double() noexcept;
+  /// Uniform double in [0, 1): the top 53 bits of next_u64(), times 2^-53.
+  [[nodiscard]] double next_double() noexcept {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) noexcept;
@@ -120,23 +149,26 @@ class Rng {
   /// Gamma(shape, 1) via Marsaglia–Tsang; shape > 0.
   [[nodiscard]] double gamma(double shape) noexcept;
 
-  /// Dirichlet(alpha,...,alpha) over `k` categories.
+  /// Dirichlet(alpha, ..., alpha) over out.size() categories, written into
+  /// `out`: one gamma(alpha) per category in order, their left-to-right sum,
+  /// then each divided by it. If the sum underflows to 0, all mass goes on
+  /// category next_below(k).
+  void dirichlet_into(double alpha, std::span<double> out) noexcept;
+
+  /// Dirichlet with per-category concentration alpha[i]. Throws
+  /// std::invalid_argument unless alpha.size() == out.size().
+  void dirichlet_into(std::span<const double> alpha, std::span<double> out);
+
+  /// dirichlet_into() into a new vector of `k` proportions.
   [[nodiscard]] std::vector<double> dirichlet(double alpha, std::size_t k);
 
-  /// Dirichlet with per-category concentration.
+  /// dirichlet_into() with per-category concentration, into a new vector.
   [[nodiscard]] std::vector<double> dirichlet(std::span<const double> alpha);
 
-  /// Draws an index from an (unnormalized, nonnegative) weight vector.
+  /// Draws an index from an (unnormalized, nonnegative) weight vector: for
+  /// u = next_double() * categorical_total(weights), the first i < k - 1
+  /// whose running u -= weights[i] goes negative, else k - 1.
   [[nodiscard]] std::size_t categorical(std::span<const double> weights);
-
-  /// Adds n categorical draws to a histogram: counts ends exactly where n
-  /// calls of `++counts[categorical(weights)]` leave it, and so does the
-  /// stream (one next_double() per draw). Weights are validated and summed
-  /// once; full batches of kCategoricalLanes draws run through the lane
-  /// kernel in categorical_bulk.cpp, the n % kCategoricalLanes tail through
-  /// categorical()'s scalar chain. Requires counts.size() == weights.size().
-  void categorical_counts(std::span<const double> weights, std::size_t n,
-                          std::span<std::uint32_t> counts);
 
   /// In-place Fisher–Yates shuffle.
   template <typename T>
@@ -156,6 +188,8 @@ class Rng {
       std::size_t n, std::size_t k);
 
  private:
+  friend void categorical_counts(std::span<const CategoricalStream> streams);
+
   std::array<std::uint64_t, 4> s_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

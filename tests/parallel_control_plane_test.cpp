@@ -15,12 +15,14 @@
 // order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/edge_server.hpp"
 #include "data/client_descriptor.hpp"
@@ -102,6 +104,51 @@ TEST(ParallelPartition, BitIdenticalAcrossPools) {
     const data::ClientPopulation pooled = make_population(5000, 11, pool);
     EXPECT_TRUE(same_population(serial, pooled));
   });
+}
+
+/// A verbatim per-client reference of the §7.2 protocol, one scalar draw at
+/// a time: fork(i), the clamped normal size, dirichlet(alpha),
+/// ++row[categorical(props)] x size, then next_u64() for the seed.
+data::ClientPopulation reference_partition(const data::PartitionSpec& spec,
+                                           std::size_t num_classes,
+                                           const runtime::Rng& rng) {
+  data::ClientPopulation pop(spec.num_clients, num_classes);
+  for (std::size_t i = 0; i < spec.num_clients; ++i) {
+    runtime::Rng crng = rng.fork(i);
+    const double draw = crng.normal(spec.size_mean, spec.size_std);
+    const auto size = static_cast<std::size_t>(
+        std::clamp(static_cast<long long>(std::llround(draw)),
+                   static_cast<long long>(spec.size_min),
+                   static_cast<long long>(spec.size_max)));
+    pop.set_data_count(i, size);
+    const std::vector<double> props = crng.dirichlet(spec.alpha, num_classes);
+    auto row = pop.label_counts_mutable(i);
+    for (std::size_t s = 0; s < size; ++s) ++row[crng.categorical(props)];
+    pop.set_seed(i, crng.next_u64());
+  }
+  return pop;
+}
+
+TEST(ParallelPartition, MatchesPerClientReference) {
+  // 5003 clients: four full 1024-client blocks, then 907 = 113 groups of
+  // eight and a last group of three. size_std > 0 spreads the sizes from
+  // size_min to size_max, so lanes in one group drop out at different steps.
+  for (const double alpha : {0.05, 0.5}) {
+    data::PartitionSpec spec = partition_spec(5003);
+    spec.alpha = alpha;
+    spec.size_mean = 110.0;
+    spec.size_std = 45.0;
+    spec.size_min = 20;
+    spec.size_max = 200;
+    const runtime::Rng root(23);
+    const data::ClientPopulation want = reference_partition(spec, 10, root);
+    for_each_pool([&](runtime::ThreadPool* pool) {
+      runtime::Rng rng = root;
+      EXPECT_TRUE(same_population(
+          want, data::descriptor_partition(spec, 10, rng, pool)))
+          << "alpha " << alpha;
+    });
+  }
 }
 
 // ---- Stage 2: label matrix ------------------------------------------------

@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -272,6 +274,80 @@ TEST(ProcBackend, WorkerKilledAtSpawnIsADiagnosableError) {
     EXPECT_NE(std::string(e.what()).find("sweep worker"), std::string::npos)
         << e.what();
   }
+}
+
+/// The one-letter state field of /proc/<pid>/stat ('Z' for a zombie).
+char proc_state(int pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  std::getline(stat, line);
+  // "pid (comm) S ...": comm may hold spaces, so read after the last ')'.
+  const std::size_t paren = line.rfind(')');
+  return paren == std::string::npos || paren + 2 >= line.size()
+             ? '?'
+             : line[paren + 2];
+}
+
+/// Polls until `pid` is a zombie: dead, not yet reaped, and every fd it held
+/// released (EOF on one of its pipes alone can come before the others
+/// close). Adds a test failure and returns false after 10 s.
+bool await_zombie(int pid) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (proc_state(pid) != 'Z') {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << "process " << pid << " never became a zombie";
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ProcBackend, WorkerDeadBeforeFirstWriteIsADiagnosableError) {
+  // Deterministic form of the spawn race: the worker is a zombie (dead,
+  // not yet reaped, its pipe ends closed) before the dispatcher's first
+  // write, so that write always fails with EPIPE. It must still name the
+  // sweep worker, its signal and the cell.
+  const std::vector<core::SweepCell> cells = tiny_cells();
+  core::SweepOptions opts;
+  opts.backend = core::SweepBackend::kProcess;
+  opts.workers = 1;
+  opts.on_worker_spawn = [](int pid) {
+    kill(pid, SIGKILL);
+    (void)await_zombie(pid);
+  };
+  try {
+    (void)core::run_sweep(cells, opts);
+    FAIL() << "expected a worker-death error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sweep worker pid "), std::string::npos) << what;
+    EXPECT_NE(what.find(" killed by signal 9 "), std::string::npos) << what;
+    EXPECT_NE(what.find("while running cell '" + cells.front().label + "'"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("Broken pipe"), std::string::npos) << what;
+  }
+}
+
+TEST(ProcBackend, WriteToClosedPipeIsASystemError) {
+  // The dispatcher reports a worker death only for std::system_error, the
+  // type of a failed write; encode_frame()'s oversized-payload
+  // std::runtime_error passes through it unchanged.
+  proc::ScopedSigpipeIgnore no_sigpipe;
+  proc::Subprocess child =
+      proc::Subprocess::spawn([](int, int) { return 0; });
+  ASSERT_TRUE(await_zombie(child.pid()));
+  const std::vector<std::byte> payload(16, std::byte{7});
+  try {
+    proc::write_frame_fd(child.write_fd(), 1, payload);
+    ADD_FAILURE() << "expected EPIPE";
+  } catch (const std::system_error& e) {
+    EXPECT_EQ(e.code(), std::errc::broken_pipe) << e.what();
+    EXPECT_NE(std::string(e.what()).find("Broken pipe"), std::string::npos);
+  }
+  EXPECT_TRUE(child.wait().clean());
 }
 
 TEST(ProcBackend, WorkerKilledMidSweepKeepsCompletedCellsInJournal) {

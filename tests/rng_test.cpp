@@ -197,22 +197,99 @@ TEST(Rng, CategoricalRejectsBadWeights) {
   // categorical() and categorical_counts() share the validation. NaN fails
   // `w >= 0`; an infinite weight or total would leave u infinite or NaN and
   // pick the last index for every draw.
-  Rng rng(16);
+  Rng rng(16), good(17);
+  const Rng rng_before = rng, good_before = good;
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<std::uint32_t> counts(2, 0);
+  const std::vector<double> two{1.0, 1.0}, three{1.0, 1.0, 1.0};
+  std::vector<std::uint32_t> counts(2, 0), good_counts(2, 0), counts3(3, 0);
+  const auto rejected = [&](std::vector<CategoricalStream> streams) {
+    EXPECT_THROW(categorical_counts(streams), std::invalid_argument);
+  };
   for (const std::vector<double>& bad :
        {std::vector<double>{0.0, 0.0}, std::vector<double>{1.0, -0.5},
         std::vector<double>{1.0, std::nan("")},
         std::vector<double>{std::nan(""), 1.0}, std::vector<double>{1.0, inf},
         std::vector<double>{1e308, 1e308}}) {
     EXPECT_THROW((void)rng.categorical(bad), std::invalid_argument);
-    EXPECT_THROW(rng.categorical_counts(bad, 8, counts),
-                 std::invalid_argument);
+    EXPECT_THROW((void)categorical_total(bad), std::invalid_argument);
+    // The kernel validates every lane before any lane draws: a good lane
+    // ahead of the bad one, and a bad lane with no draws, move nothing.
+    rejected({{&rng, bad, 8, counts}});
+    rejected({{&good, two, 8, good_counts}, {&rng, bad, 8, counts}});
+    rejected({{&rng, bad, 0, counts}});
   }
-  const std::vector<double> three{1.0, 1.0, 1.0};
-  EXPECT_THROW(rng.categorical_counts(three, 8, counts),
-               std::invalid_argument);
+  // It also rejects more than eight streams and streams whose weights and
+  // counts are not all the same nonempty length, before drawing.
+  rejected({{&rng, three, 8, counts}});
+  rejected({{&good, two, 8, good_counts}, {&rng, three, 8, counts3}});
+  rejected({{&rng, {}, 8, {}}});
+  rejected(std::vector<CategoricalStream>(kCategoricalLanes + 1,
+                                          {&rng, two, 8, counts}));
   EXPECT_EQ(counts, (std::vector<std::uint32_t>{0, 0}));
+  EXPECT_EQ(good_counts, (std::vector<std::uint32_t>{0, 0}));
+  EXPECT_EQ(counts3, (std::vector<std::uint32_t>{0, 0, 0}));
+  Rng rng_unmoved = rng_before, good_unmoved = good_before;
+  EXPECT_EQ(rng.next_u64(), rng_unmoved.next_u64());
+  EXPECT_EQ(good.next_u64(), good_unmoved.next_u64());
+}
+
+// A verbatim copy of dirichlet() before dirichlet_into(): the draws and
+// arithmetic dirichlet_into must keep, bit for bit.
+std::vector<double> dirichlet_reference(Rng& rng, double alpha,
+                                        std::size_t k) {
+  std::vector<double> out(k);
+  double sum = 0.0;
+  for (auto& g : out) {
+    g = rng.gamma(alpha);
+    sum += g;
+  }
+  if (sum <= 0.0) {
+    out.assign(k, 0.0);
+    out[rng.next_below(k)] = 1.0;
+    return out;
+  }
+  for (auto& g : out) g /= sum;
+  return out;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST(Rng, DirichletIntoMatchesDirichletBitForBit) {
+  // alpha 1e-4 makes every gamma underflow to 0 most of the time, so the
+  // one-hot fallback (and its next_below draw) runs too.
+  std::size_t fallbacks = 0;
+  std::uint64_t seed = 100;
+  for (const double alpha : {1e-4, 0.05, 0.5, 7.5}) {
+    for (const std::size_t k : {1, 3, 10}) {
+      for (int rep = 0; rep < 40; ++rep) {
+        Rng ref(++seed), into(seed), vec(seed), per_cat(seed);
+        const std::vector<double> want = dirichlet_reference(ref, alpha, k);
+        std::vector<double> got(k, -1.0);
+        into.dirichlet_into(alpha, got);
+        const std::vector<double> alphas(k, alpha);
+        std::vector<double> got_span(k, -1.0);
+        per_cat.dirichlet_into(alphas, got_span);
+        EXPECT_TRUE(same_bits(want, got)) << "alpha " << alpha << " k " << k;
+        EXPECT_TRUE(same_bits(want, vec.dirichlet(alpha, k)));
+        EXPECT_TRUE(same_bits(want, got_span));
+        const std::uint64_t next = ref.next_u64();
+        EXPECT_EQ(next, into.next_u64());
+        EXPECT_EQ(next, vec.next_u64());
+        EXPECT_EQ(next, per_cat.next_u64());
+        fallbacks += k > 1 && std::count(want.begin(), want.end(), 1.0) == 1 &&
+                     std::count(want.begin(), want.end(), 0.0) ==
+                         static_cast<std::ptrdiff_t>(k - 1);
+      }
+    }
+  }
+  EXPECT_GT(fallbacks, 0u);
+  Rng rng(1);
+  std::vector<double> out(3);
+  const std::vector<double> two{1.0, 1.0};
+  EXPECT_THROW(rng.dirichlet_into(two, out), std::invalid_argument);
 }
 
 TEST(Rng, ShuffleIsPermutation) {
@@ -248,10 +325,10 @@ TEST(Rng, SampleWithoutReplacementRejectsOverdraw) {
                std::invalid_argument);
 }
 
-// ---- Bulk categorical counts (Rng::categorical_counts) --------------------
+// ---- Bulk categorical counts (the stream kernel categorical_counts) ------
 
 // A verbatim copy of categorical() before the bulk kernel: the stream
-// contract categorical_counts must keep, draw for draw.
+// contract every categorical_counts() lane must keep, draw for draw.
 std::size_t categorical_reference(Rng& rng, std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {
@@ -304,41 +381,123 @@ std::vector<std::vector<double>> categorical_weight_sets(std::size_t k,
   return sets;
 }
 
+// Runs the kernel over one lane per (weights, n, seed) and expects each
+// lane's counts (which start at 3: the kernel adds) and final stream state
+// to match `draw` run n times on a fresh stream of the same seed.
+struct Lane {
+  std::vector<double> weights;
+  std::size_t n = 0;
+  std::uint64_t seed = 0;
+};
+
+template <typename Draw>
+void expect_kernel_matches(const std::vector<Lane>& lanes, Draw draw,
+                           const std::string& what) {
+  const std::size_t k = lanes[0].weights.size();
+  std::vector<Rng> ref, bulk;
+  std::vector<std::vector<std::uint32_t>> want, got;
+  for (const Lane& lane : lanes) {
+    ref.emplace_back(lane.seed);
+    bulk.emplace_back(lane.seed);
+    want.emplace_back(k, 3);
+    got.emplace_back(k, 3);
+  }
+  std::vector<CategoricalStream> streams;
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    for (std::size_t d = 0; d < lanes[l].n; ++d)
+      ++want[l][draw(ref[l], lanes[l])];
+    streams.push_back({&bulk[l], lanes[l].weights, lanes[l].n, got[l]});
+  }
+  categorical_counts(streams);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    EXPECT_EQ(want[l], got[l]) << what << " lane " << l;
+    EXPECT_EQ(ref[l].next_u64(), bulk[l].next_u64()) << what << " lane " << l;
+  }
+}
+
 TEST(Rng, CategoricalCountsMatchesCategoricalLoop) {
+  // Every lane count from 1 to 8, every k, and draw counts mixed within a
+  // call; rotating r puts every n (and every weight set) in every lane.
+  // k = 300 grows the kernel's scratch well past the partition's chains.
+  const std::array<std::size_t, 6> ns = {0, 1, 7, 8, 9, 200};
+  const auto categorical_draw = [](Rng& rng, const Lane& lane) {
+    return categorical_reference(rng, lane.weights);
+  };
   Rng weights_rng(29);
   std::uint64_t seed = 1;
-  for (const std::size_t k : {1, 2, 3, 8, 10, 17}) {
-    for (const std::vector<double>& weights :
-         categorical_weight_sets(k, weights_rng)) {
-      for (const std::size_t n : {0, 1, 7, 8, 9, 200, 1000}) {
-        Rng ref(++seed), bulk(seed);
-        std::vector<std::uint32_t> want(k, 3), got(k, 3);  // adds to counts
-        for (std::size_t d = 0; d < n; ++d)
-          ++want[categorical_reference(ref, weights)];
-        bulk.categorical_counts(weights, n, got);
-        EXPECT_EQ(want, got) << "k " << k << " n " << n;
-        EXPECT_EQ(ref.next_u64(), bulk.next_u64()) << "k " << k << " n " << n;
+  for (const std::size_t k : {1, 2, 3, 8, 10, 17, 300}) {
+    const std::vector<std::vector<double>> sets =
+        categorical_weight_sets(k, weights_rng);
+    for (std::size_t lanes = 1; lanes <= kCategoricalLanes; ++lanes) {
+      for (std::size_t r = 0; r < ns.size(); ++r) {
+        std::vector<Lane> call;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const std::vector<double>& w = sets[(l + r) % sets.size()];
+          call.push_back({w, ns[(l + r) % ns.size()], ++seed});
+        }
+        expect_kernel_matches(call, categorical_draw,
+                              "k " + std::to_string(k) + " lanes " +
+                                  std::to_string(lanes) + " r " +
+                                  std::to_string(r));
       }
     }
   }
 }
 
 TEST(Rng, CategoricalLanesMatchTheChainOnBoundaryValues) {
-  // Values a validated stream never or almost never draws: u landing
-  // exactly on a prefix sum (u - w == 0 is not negative), u = 0 and -0,
-  // u just below the total, and NaN (never < 0, so the last index).
-  const std::vector<double> weights{1.0, 0.0, 2.0, 1.0, 0.0, 3.0};
-  const std::array<std::array<double, detail::kCategoricalLanes>, 2> lanes = {{
-      {0.0, 1.0, 3.0, 4.0, 7.0, -0.0, std::nextafter(1.0, 0.0),
-       std::nextafter(7.0, 0.0)},
-      {std::nan(""), 2.0, 3.5, 6.999, 0.5, std::nan(""), 1e-320, 4.0},
-  }};
-  for (const auto& u : lanes) {
-    std::vector<std::uint32_t> want(weights.size(), 0), got(weights.size(), 0);
-    for (const double v : u) ++want[categorical_chain_reference(v, weights)];
-    detail::add_categorical_lanes(u, weights, got);
-    EXPECT_EQ(want, got);
+  // Values a stream almost never draws: u landing exactly on a prefix sum
+  // (u - w == 0 is not negative, so the chain goes on through zero weights
+  // until a positive one). The lanes take integer weights that sum to 2^53,
+  // so u = (x >> 11) * 2^-53 * 2^53 is the integer m = x >> 11 exactly, and
+  // their weights are built around the stream's first m. NaN and +-0 totals
+  // cannot reach a lane: categorical_total() rejects them.
+  const auto chain_draw = [](Rng& rng, const Lane& lane) {
+    return categorical_chain_reference(
+        rng.next_double() * categorical_total(lane.weights), lane.weights);
+  };
+  const double two53 = 0x1.0p53;
+  const auto first_m = [](std::uint64_t seed) {
+    Rng peek(seed);
+    return static_cast<double>(peek.next_u64() >> 11);
+  };
+  // Integer weights in [0, 2^53) whose last entry brings the sum to 2^53.
+  const auto to_two53 = [&](std::vector<double> w) {
+    double rest = two53;
+    for (const double v : w) rest -= v;
+    w.push_back(rest);
+    return w;
+  };
+  std::array<double, 10> m{};
+  for (std::uint64_t seed = 1; seed < m.size(); ++seed) {
+    m[seed] = first_m(seed);
+    ASSERT_GE(m[seed], 2.0);
   }
+  std::vector<Lane> call = {
+      {to_two53({m[1], 0.0, 1.0, 0.0, 0.0}), 9, 1},
+      {to_two53({0.0, m[2], 0.0, 0.0, 1.0}), 3, 2},
+      {to_two53({m[3] - 2.0, 1.0, 1.0, 0.0, 0.0}), 2, 3},
+      {to_two53({0.0, 0.0, m[4], 0.0, 0.0}), 8, 4},
+      {to_two53({m[5], 0.0, 1.0, 0.0, 0.0}), 1, 5},
+      {to_two53({m[6] - 1.0, 1.0, 0.0, 0.0, 1.0}), 9, 6},
+      {to_two53({0.0, 0.0, 0.0, 0.0, m[7]}), 200, 7},
+      {to_two53({m[8], 1.0, 0.0, 0.0, 0.0}), 7, 8},
+  };
+  for (const Lane& lane : call) {
+    ASSERT_EQ(categorical_total(lane.weights), two53);
+    EXPECT_EQ(first_m(lane.seed) * 0x1.0p-53 * two53, first_m(lane.seed));
+  }
+  expect_kernel_matches(call, chain_draw, "boundary");
+  // The first draws' indices, by hand.
+  const auto first_index = [&](const Lane& lane) {
+    Rng rng(lane.seed);
+    return chain_draw(rng, lane);
+  };
+  const std::array<std::size_t, 8> want = {2, 4, 5, 5, 2, 4, 5, 1};
+  for (std::size_t l = 0; l < call.size(); ++l)
+    EXPECT_EQ(first_index(call[l]), want[l]) << "lane " << l;
+  // A ninth boundary lane runs alone, as a lone client does.
+  expect_kernel_matches({{to_two53({0.0, m[9], 0.0, 0.0, 0.0}), 8, 9}},
+                        chain_draw, "lone");
 }
 
 // ---- Bulk normals (Rng::add_normals and its 8-lane kernel) ----------------
