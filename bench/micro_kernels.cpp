@@ -698,6 +698,10 @@ int main(int argc, char** argv) {
   // feature width (32 → hidden 64).
   reports.push_back(bench_gemm("gemm_mlp_train", 0, 8, 32, 64, 51));
   reports.push_back(bench_gemm("gemm_mlp_eval", 0, 256, 32, 64, 51));
+  // round_mlp's input gradients dY·Wᵀ at train batch 16: the hidden layer
+  // (64 → 64) and the 10-class head (64 → 10).
+  reports.push_back(bench_gemm("gemm_mlp_dx", 1, 16, 64, 64, 51));
+  reports.push_back(bench_gemm("gemm_mlp_head_dx", 1, 16, 10, 64, 51));
   // im2col'd conv layers at batch 32: ResNet3 layer 1 (CIFAR 3×16×16,
   // cout 8) and CNN5 layer 2 (post-pool 8×16×8, cout 16).
   reports.push_back(bench_gemm("gemm_resnet3_l1", 0, 8, 27, 32 * 16 * 16, 21));

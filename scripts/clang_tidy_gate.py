@@ -9,7 +9,7 @@ installed (e.g. a gcc-only container) the gate reports SKIP instead of
 silently passing, and CI installs clang-tidy so the gate is enforced there.
 
 The vector-extension kernel TUs are excluded (KERNEL_TU_EXCLUDES below):
-they are compiled -O3 -march=native (gemm.cpp also -ffast-math) with GNU
+they are compiled -O3 -march=native with GNU
 vector extensions, which clang-tidy's clang frontend rejects under a gcc
 compile command, and
 their index arithmetic intentionally trips the swappable-parameter and

@@ -26,11 +26,11 @@ generic tool checks. Rules are classes over `scripts/analysis_core.py` —
   raw-process-syscalls fork()/exec*()/pipe()/waitpid() outside
                        src/runtime/proc/, which owns the fd-discipline and
                        fork-safety invariants of the process backend.
-  fp-flag-scope        src/CMakeLists.txt gives -ffast-math to a TU other
-                       than nn/gemm.cpp, or a bit-exact kernel TU lacks
-                       -ffp-contract=off. It reads the CMake file, not C++:
-                       the walk checks src/CMakeLists.txt, and explicit
-                       paths named CMakeLists.txt or *.cmake.
+  fp-flag-scope        src/CMakeLists.txt gives -ffast-math to any TU, or a
+                       bit-exact kernel TU lacks -ffp-contract=off. It
+                       reads the CMake file, not C++: the walk checks
+                       src/CMakeLists.txt, and explicit paths named
+                       CMakeLists.txt or *.cmake.
 
 Suppression: append `// lint:allow(<rule>)` to the offending line (or the
 line directly above) with a justification nearby (policy in
@@ -339,11 +339,13 @@ class FpFlagScopeRule(Rule):
     explain = """
 Floating-point flag scope in src/CMakeLists.txt. Two rules the flag-set
 comment there states:
-  * nn/gemm.cpp is the only -ffast-math TU (-Ofast counts too). Fast math
-    licenses reassociation, FMA contraction, flush-to-zero and NaN/inf
-    assumptions, so any other TU that gets it (per file, or through
-    add_compile_options / target_compile_options / CMAKE_CXX_FLAGS) can
-    silently move bits that the bit-identity gates pin.
+  * No TU gets -ffast-math (-Ofast counts too). Fast math licenses
+    reassociation, FMA contraction, flush-to-zero and NaN/inf assumptions,
+    so a TU that gets it (per file, or through add_compile_options /
+    target_compile_options / CMAKE_CXX_FLAGS) can silently move bits that
+    the bit-identity gates pin — even through a change that keeps every
+    kernel's order, when the compiler reassociates a reduction differently
+    around it.
   * The declared bit-exact kernel TUs (BIT_EXACT_TUS below) build with
     -ffp-contract=off. GCC's C++ default is -ffp-contract=fast, which fuses
     a*b + c into an FMA once -march=native offers one, so a lane kernel
@@ -354,7 +356,6 @@ set_source_files_properties(... COMPILE_OPTIONS ...) per file, as CMake
 does. Fix the CMake file; there is no suppression for this rule.
 """
 
-    FAST_MATH_TU = "nn/gemm.cpp"
     BIT_EXACT_TUS = ("nn/conv.cpp", "nn/im2col.cpp",
                      "runtime/categorical_bulk.cpp", "grouping/cov_scan.cpp")
     FAST_MATH_FLAGS = ("-ffast-math", "-Ofast")
@@ -425,16 +426,14 @@ does. Fix the CMake file; there is no suppression for this rule.
                        for f in self.expand(args, variables)):
                     out.append(self.finding(
                         ctx, line,
-                        f"{name}() applies fast math beyond "
-                        f"{self.FAST_MATH_TU}; keep -ffast-math in that "
-                        "one TU's COMPILE_OPTIONS"))
+                        f"{name}() applies fast math; no TU may get "
+                        "-ffast-math or -Ofast"))
         for tu, (line, flags) in sorted(options.items()):
-            if tu != self.FAST_MATH_TU and any(
-                    f in self.FAST_MATH_FLAGS for f in flags):
+            if any(f in self.FAST_MATH_FLAGS for f in flags):
                 out.append(self.finding(
                     ctx, line,
-                    f"{tu} gets fast math; {self.FAST_MATH_TU} is the only "
-                    "-ffast-math TU"))
+                    f"{tu} gets fast math; no TU may get -ffast-math or "
+                    "-Ofast"))
         for tu in self.BIT_EXACT_TUS:
             line, flags = options.get(tu, (1, []))
             if "-ffp-contract=off" not in flags:

@@ -276,23 +276,30 @@ inline void transpose_tile(v16f* r) {
   }
 }
 
+/// One NR×NR tile of a column-contiguous view: column jj < nc is the run
+/// src[jj·cs, jj·cs + NR). The tile is transposed in registers and stored
+/// as NR rows at dst + q·ld; columns jj >= nc load as zeros.
+inline void transpose_to_rows(const float* src, std::size_t cs,
+                              std::size_t nc, float* dst, std::size_t ld) {
+  v16f tile[NR];
+  for (std::size_t jj = 0; jj < NR; ++jj)
+    tile[jj] = jj < nc ? static_cast<v16f>(
+                             *reinterpret_cast<const v16f_u*>(src + jj * cs))
+                       : v16f{};
+  transpose_tile(tile);
+  for (std::size_t q = 0; q < NR; ++q)
+    *reinterpret_cast<v16f_u*>(dst + q * ld) = tile[q];
+}
+
 /// One kc×NR sliver of a transposed B (b.rs == 1, e.g. the im2col matrix in
 /// the weight gradient dY·colsᵀ): sliver column jj < nr is the contiguous
 /// run src[jj·cs, jj·cs + kc). NR×NR tiles are loaded along k, transposed in
-/// registers and stored as NR packed rows; columns jj >= nr load as zeros.
+/// registers and stored as NR packed rows; columns jj >= nr are zeros.
 void pack_b_transposed(const float* src, std::size_t cs, std::size_t kc,
                        std::size_t nr, float* __restrict dst) {
   std::size_t p = 0;
-  for (; p + NR <= kc; p += NR) {
-    v16f tile[NR];
-    for (std::size_t jj = 0; jj < NR; ++jj)
-      tile[jj] = jj < nr ? static_cast<v16f>(*reinterpret_cast<const v16f_u*>(
-                               src + jj * cs + p))
-                         : v16f{};
-    transpose_tile(tile);
-    for (std::size_t q = 0; q < NR; ++q)
-      *reinterpret_cast<v16f_u*>(dst + (p + q) * NR) = tile[q];
-  }
+  for (; p + NR <= kc; p += NR)
+    transpose_to_rows(src + p, cs, nr, dst + p * NR, NR);
   for (; p < kc; ++p) {
     std::size_t jj = 0;
     for (; jj < nr; ++jj) dst[p * NR + jj] = src[jj * cs + p];
@@ -339,6 +346,34 @@ void pack_b(MatView b, std::size_t p0, std::size_t kc, std::size_t j0,
   }
 }
 
+/// Dense row-major rows×cols copy of a view. A transposed view (rs == 1, each
+/// column contiguous) moves in NR×NR tiles transposed in registers; only the
+/// ragged last rows and columns take the scalar gather.
+void dense_copy(MatView src, std::size_t rows, std::size_t cols,
+                float* __restrict dst) {
+  if (src.cs == 1) {
+    for (std::size_t r = 0; r < rows; ++r)
+      std::memcpy(dst + r * cols, src.p + r * src.rs, cols * sizeof(float));
+    return;
+  }
+  std::size_t full_rows = 0, full_cols = 0;
+#ifdef GROUPFEL_GEMM_VECTOR_EXT
+  if (src.rs == 1) {
+    full_rows = rows - rows % NR;
+    full_cols = cols - cols % NR;
+    for (std::size_t r0 = 0; r0 < full_rows; r0 += NR)
+      for (std::size_t c0 = 0; c0 < full_cols; c0 += NR)
+        transpose_to_rows(src.p + c0 * src.cs + r0, src.cs, NR,
+                          dst + r0 * cols + c0, cols);
+  }
+#endif
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = src.p + r * src.rs;
+    for (std::size_t c = r < full_rows ? full_cols : 0; c < cols; ++c)
+      dst[r * cols + c] = row[c * src.cs];
+  }
+}
+
 /// One Mc×kc row panel of C against the packed B block.
 void run_row_panel(MatView a, std::size_t ic, std::size_t mc, std::size_t pc,
                    std::size_t kc, const float* b_pack, std::size_t jc,
@@ -376,7 +411,8 @@ constexpr std::size_t kSkinnyRows = 2 * MR;
 
 /// Below this many multiply-adds packing never amortizes even for taller C
 /// (the Aᵀ·B weight-gradient shapes: m = in_features, k = batch), so route
-/// them through the register-tiled skinny kernel as well.
+/// them through the register-tiled skinny kernel as well — any B layout,
+/// via a dense copy when B is not row-contiguous (gemm_skinny_dense_b).
 constexpr std::size_t kSkinnyFlops = 128 * 1024;
 
 /// One tile of up to MT ≤ 4 C rows across the full width n. B must be
@@ -474,120 +510,18 @@ void gemm_skinny(std::size_t m, std::size_t n, std::size_t k, MatView a,
   }
 }
 
-/// Takes a reference (a by-value 64-byte vector trips -Wpsabi in portable
-/// builds) but sums a local copy: this TU is built with -ffast-math, and
-/// the copy keeps the reduction's code, and so its rounding, what it was
-/// when the vector came by value. Summing through the reference reorders it.
-inline float hsum(const v16f& acc) {
-  const v16f v = acc;
-  const float* lanes = reinterpret_cast<const float*>(&v);
-  float s = 0.0f;
-  for (std::size_t l = 0; l < NR; ++l) s += lanes[l];
-  return s;
-}
-
-/// A·Bᵀ shapes (a.cs == 1, b.rs == 1): both operands are contiguous along k,
-/// so every C element is a dense dot product. The generic strided fallbacks
-/// read B with stride k here — a gather per element — while this kernel
-/// streams both rows vectorized and reduces at the end. j is tiled by 4 so
-/// each A-row load feeds four accumulators.
-constexpr std::size_t kDotFlops = 128 * 1024;
-
-/// IT C rows × 4 C columns of dot products per pass: 8 vector loads feed 16
-/// FMAs, double the arithmetic intensity of a single-row sweep.
-template <std::size_t IT>
-void dot_tile(std::size_t n, std::size_t k, const float* __restrict a0,
-              std::size_t ars, const float* __restrict bbase, std::size_t bcs,
-              float* __restrict c, std::size_t ldc) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const float* __restrict b0 = bbase + j * bcs;
-    const float* __restrict b1 = bbase + (j + 1) * bcs;
-    const float* __restrict b2 = bbase + (j + 2) * bcs;
-    const float* __restrict b3 = bbase + (j + 3) * bcs;
-    v16f acc[IT][4] = {};
-    std::size_t p = 0;
-    for (; p + NR <= k; p += NR) {
-      v16f bv[4];
-      bv[0] = *reinterpret_cast<const v16f_u*>(b0 + p);
-      bv[1] = *reinterpret_cast<const v16f_u*>(b1 + p);
-      bv[2] = *reinterpret_cast<const v16f_u*>(b2 + p);
-      bv[3] = *reinterpret_cast<const v16f_u*>(b3 + p);
-      for (std::size_t i = 0; i < IT; ++i) {
-        const v16f av = *reinterpret_cast<const v16f_u*>(a0 + i * ars + p);
-        for (std::size_t q = 0; q < 4; ++q) acc[i][q] += av * bv[q];
-      }
-    }
-    float s[IT][4];
-    for (std::size_t i = 0; i < IT; ++i)
-      for (std::size_t q = 0; q < 4; ++q) s[i][q] = hsum(acc[i][q]);
-    for (; p < k; ++p) {
-      const float b0v = b0[p], b1v = b1[p], b2v = b2[p], b3v = b3[p];
-      for (std::size_t i = 0; i < IT; ++i) {
-        const float av = a0[i * ars + p];
-        s[i][0] += av * b0v;
-        s[i][1] += av * b1v;
-        s[i][2] += av * b2v;
-        s[i][3] += av * b3v;
-      }
-    }
-    for (std::size_t i = 0; i < IT; ++i)
-      for (std::size_t q = 0; q < 4; ++q) c[i * ldc + j + q] += s[i][q];
-  }
-  for (; j < n; ++j) {
-    const float* __restrict bj = bbase + j * bcs;
-    v16f acc[IT] = {};
-    std::size_t p = 0;
-    for (; p + NR <= k; p += NR) {
-      const v16f bv = *reinterpret_cast<const v16f_u*>(bj + p);
-      for (std::size_t i = 0; i < IT; ++i)
-        acc[i] += *reinterpret_cast<const v16f_u*>(a0 + i * ars + p) * bv;
-    }
-    float s[IT];
-    for (std::size_t i = 0; i < IT; ++i) s[i] = hsum(acc[i]);
-    for (; p < k; ++p) {
-      const float bjv = bj[p];
-      for (std::size_t i = 0; i < IT; ++i) s[i] += a0[i * ars + p] * bjv;
-    }
-    for (std::size_t i = 0; i < IT; ++i) c[i * ldc + j] += s[i];
-  }
-}
-
-void gemm_dot(std::size_t m, std::size_t n, std::size_t k, MatView a,
-              MatView b, float* __restrict c) {
-  for (std::size_t i0 = 0; i0 < m; i0 += 4) {
-    const float* a0 = a.p + i0 * a.rs;
-    float* crow = c + i0 * n;
-    switch (std::min<std::size_t>(4, m - i0)) {
-      case 4: dot_tile<4>(n, k, a0, a.rs, b.p, b.cs, crow, n); break;
-      case 3: dot_tile<3>(n, k, a0, a.rs, b.p, b.cs, crow, n); break;
-      case 2: dot_tile<2>(n, k, a0, a.rs, b.p, b.cs, crow, n); break;
-      default: dot_tile<1>(n, k, a0, a.rs, b.p, b.cs, crow, n); break;
-    }
-  }
+/// Small shapes whose B is not row-contiguous: the transposed B of an input
+/// gradient dY·Wᵀ (b.rs == 1) or a strided view. B is written once as a
+/// dense row-major k×n scratch, so every C element takes the skinny
+/// kernel's multiply-add chain and A·Bᵀ is bit-identical to A·(Bᵀ stored).
+void gemm_skinny_dense_b(std::size_t m, std::size_t n, std::size_t k,
+                         MatView a, MatView b, float* c) {
+  auto b_buf = runtime::WorkspaceArena::local().acquire(k * n);
+  dense_copy(b, k, n, b_buf.data());
+  gemm_skinny(m, n, k, a, MatView{b_buf.data(), n, 1}, c);
 }
 
 #endif  // GROUPFEL_GEMM_VECTOR_EXT
-
-/// Below this many multiply-adds the packing setup costs more than it
-/// saves; fall back to a plain register-blocked loop on the strided views.
-constexpr std::size_t kSmallFlops = 16 * 1024;
-
-void gemm_small(std::size_t m, std::size_t n, std::size_t k, MatView a,
-                MatView b, float* __restrict c) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = a.p[i * a.rs + p * a.cs];
-      const float* brow = b.p + p * b.rs;
-      if (b.cs == 1) {
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      } else {
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j * b.cs];
-      }
-    }
-  }
-}
 
 /// Row-panel parallelism pays off once a panel's work dwarfs the dispatch
 /// cost; 2 MFLOP per task keeps small training-shape GEMMs inline.
@@ -604,15 +538,11 @@ void gemm_impl_fp32(std::size_t m, std::size_t n, std::size_t k, MatView a,
     gemm_skinny(m, n, k, a, b, c);
     return;
   }
-  if (a.cs == 1 && b.rs == 1 && m * n * k <= kDotFlops) {
-    gemm_dot(m, n, k, a, b, c);
+  if (m * n * k <= kSkinnyFlops) {
+    gemm_skinny_dense_b(m, n, k, a, b, c);
     return;
   }
 #endif
-  if (m * n * k <= kSmallFlops) {
-    gemm_small(m, n, k, a, b, c);
-    return;
-  }
 
   auto& pool = runtime::ThreadPool::global();
   for (std::size_t jc = 0; jc < n; jc += NC) {
@@ -665,15 +595,14 @@ inline float round_half(float v, StoragePrecision sp) {
 /// Dense row-major storage-rounded copy of a strided view.
 void round_dense(MatView src, std::size_t rows, std::size_t cols,
                  StoragePrecision sp, float* __restrict dst) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = src.p + r * src.rs;
-    if (sp == StoragePrecision::kBf16) {
-      for (std::size_t c = 0; c < cols; ++c)
-        dst[r * cols + c] = util::half::round_bf16(row[c * src.cs]);
-    } else {
-      for (std::size_t c = 0; c < cols; ++c)
-        dst[r * cols + c] = util::half::round_fp16(row[c * src.cs]);
-    }
+  dense_copy(src, rows, cols, dst);
+  const std::size_t size = rows * cols;
+  if (sp == StoragePrecision::kBf16) {
+    for (std::size_t i = 0; i < size; ++i)
+      dst[i] = util::half::round_bf16(dst[i]);
+  } else {
+    for (std::size_t i = 0; i < size; ++i)
+      dst[i] = util::half::round_fp16(dst[i]);
   }
 }
 
@@ -1047,7 +976,7 @@ void gemm_blocked_amx(std::size_t m, std::size_t n, std::size_t k, MatView a,
 #endif  // GROUPFEL_GEMM_AMX
 
 /// Half-storage dispatch. Shapes the fp32 dispatch keeps out of the blocked
-/// path (register-tiled skinny/dot/small fast paths) compute on
+/// path (the register-tiled skinny kernel) compute on
 /// storage-rounded operand copies instead — identical value semantics, and
 /// the copies are tiny exactly where those paths apply.
 void gemm_impl_half(std::size_t m, std::size_t n, std::size_t k, MatView a,

@@ -4,15 +4,20 @@
 // Scheme (GotoBLAS/BLIS): C is computed in Nc-wide column blocks; for each
 // Kc-deep slice, B is packed into Kc×NR column slivers (streamed from L1)
 // and A into MR-row slivers of an Mc×Kc panel (resident in L2). The
-// MR×NR micro-kernel is plain C with constant trip counts so the
-// autovectorizer lifts it to the widest SIMD the build allows (this
-// translation unit is compiled -O3 -ffast-math and, when supported,
-// -march=native — see src/CMakeLists.txt).
+// MR×NR micro-kernel uses GNU vector extensions with constant trip counts,
+// so it runs at the widest SIMD the build allows (this translation unit is
+// compiled -O3 and, when supported, -march=native — never -ffast-math; see
+// src/CMakeLists.txt).
 //
 // Transposed operands are handled by the pack routines via strided views,
-// so A·B, A·Bᵀ, and Aᵀ·B share one kernel. Row panels of C are split over
-// runtime::ThreadPool for large shapes; each panel's accumulation order is
-// fixed, so results are bit-identical for any pool size.
+// so A·B, A·Bᵀ, and Aᵀ·B share one kernel. Small shapes take a
+// register-tiled skinny kernel over a row-contiguous B; any other B layout
+// is first copied dense (a transposed B through an in-register transpose).
+// Every C element is one sequential-k multiply-add chain (one per Kc block
+// on the blocked path), whatever the layout: A·Bᵀ is bit-identical to A
+// times Bᵀ stored row-major. Row panels of C are split over runtime::ThreadPool for large
+// shapes; each panel's accumulation order is fixed, so results are
+// bit-identical for any pool size.
 //
 // Mixed precision: gemm/gemm_acc take a StoragePrecision selector. For bf16
 // and fp16 the pack step rounds each operand element once (RNE, via

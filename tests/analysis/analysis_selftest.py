@@ -63,7 +63,7 @@ EXPECTED_LINT_ACTIVE = {
     "unordered-iteration": 2,
     "half-bitcast": 3,
     "raw-process-syscalls": 4,
-    "fp-flag-scope": 5,
+    "fp-flag-scope": 6,
 }
 EXPECTED_LINT_SUPPRESSED = {
     "banned-wallclock": 1,

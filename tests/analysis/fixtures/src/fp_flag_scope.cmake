@@ -1,14 +1,14 @@
 # Known-bad fixture for lint's `fp-flag-scope` rule, in the shape of
-# src/CMakeLists.txt. Never included by the build. Expected findings: 5
+# src/CMakeLists.txt. Never included by the build. Expected findings: 6
 # active, 0 suppressed (the rule has no suppression).
 set(GROUPFEL_KERNEL_FLAGS -O3 -ffast-math -funroll-loops)
 set(GROUPFEL_ELEMENTWISE_FLAGS -O3 -funroll-loops)
 list(APPEND GROUPFEL_ELEMENTWISE_FLAGS -march=native)
-# Not a finding: gemm.cpp is the one fast-math TU, and a comment that
-# mentions -ffast-math is not a flag.
+# FINDING: the GEMM TU is no exception. (Not a finding: a comment that
+# mentions -ffast-math is not a flag.)
 set_source_files_properties(nn/gemm.cpp PROPERTIES
   COMPILE_OPTIONS "${GROUPFEL_KERNEL_FLAGS}")
-# FINDING x2: two more TUs get -ffast-math through the kernel flag set.
+# FINDING x2: two more TUs get -ffast-math through the same flag set.
 set_source_files_properties(nn/layers.cpp nn/tensor.cpp PROPERTIES
   COMPILE_OPTIONS "${GROUPFEL_KERNEL_FLAGS}")
 # Not a finding: both conv TUs and the CoV scan keep contraction off.

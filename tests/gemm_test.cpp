@@ -2,9 +2,9 @@
 //
 // matmul / matmul_bt / matmul_at must agree with the naive triple-loop
 // oracles to 1e-4 relative across shapes chosen to hit every dispatch path:
-// the small-product fallback, the skinny-row streaming path, full packed
-// tiles, and ragged edges of every cache block (MR/NR register tiles and
-// MC/KC/NC panels). A randomized sweep backstops the hand-picked shapes.
+// the skinny-row streaming path (over B itself or its dense copy), full
+// packed tiles, and ragged edges of every cache block (MR/NR register tiles
+// and MC/KC/NC panels). A randomized sweep backstops the hand-picked shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,7 +81,7 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmEquivalenceTest,
     ::testing::Values(
         GemmCase{1, 1, 1},      // degenerate
-        GemmCase{3, 5, 7},      // small-product fallback
+        GemmCase{3, 5, 7},      // tiny product
         GemmCase{8, 32, 64},    // MLP training batch (skinny rows)
         GemmCase{8, 27, 1024},  // ResNet3 first layer (skinny, wide)
         GemmCase{12, 40, 33},   // skinny edge: n not a lane multiple
@@ -113,52 +113,81 @@ TEST(GemmEquivalence, RepeatedCallsAreDeterministic) {
     ASSERT_EQ(first[i], second[i]) << "flat index " << i;
 }
 
-TEST(GemmEquivalence, BlockedPathBitIdenticalAcrossBLayouts) {
-  // The blocked path packs B the same way whether B is row-contiguous, stored
-  // transposed (rs == 1, read along k), or a generic strided view, so the
-  // products must agree bit for bit. m16·n1024·k72 is CNN5's conv2 forward
-  // at batch 16 (every layout takes the blocked path); m8·n27·k4096 is
-  // conv1's weight gradient, whose row-contiguous form takes the skinny
-  // path instead and is left out; m16·n1000·k300 adds a ragged last sliver
-  // and a second KC chunk.
-  struct Shape {
-    std::size_t m, n, k;
-    bool contiguous_blocked;
-  };
-  for (const Shape s : {Shape{16, 1024, 72, true}, Shape{8, 27, 4096, false},
-                        Shape{16, 1000, 300, true}}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "m=" << s.m << " n=" << s.n << " k=" << s.k);
-    runtime::Rng rng(s.m * 31 + s.n * 17 + s.k);
-    std::vector<float> a(s.m * s.k), rows(s.k * s.n), cols(s.n * s.k),
-        strided(s.k * 2 * s.n);
-    for (auto& v : a) v = static_cast<float>(rng.normal());
-    for (std::size_t p = 0; p < s.k; ++p)
-      for (std::size_t j = 0; j < s.n; ++j) {
-        const auto v = static_cast<float>(rng.normal());
-        rows[p * s.n + j] = v;
-        cols[j * s.k + p] = v;
-        strided[p * 2 * s.n + 2 * j] = v;
-      }
-    const detail::MatView av{a.data(), s.k, 1};
+/// A·B with one B stored row-contiguous, transposed (rs == 1, read along k)
+/// and as a generic strided view, through gemm and through gemm_acc onto a
+/// random C: the transposed and strided products must be bit-identical, and
+/// so must the row-contiguous one when `with_contiguous`.
+void expect_b_layouts_bit_identical(std::size_t m, std::size_t n,
+                                    std::size_t k, bool with_contiguous) {
+  SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n << " k=" << k);
+  runtime::Rng rng(m * 31 + n * 17 + k);
+  std::vector<float> a(m * k), rows(k * n), cols(n * k), strided(k * 2 * n),
+      c0(m * n);
+  for (auto& v : a) v = static_cast<float>(rng.normal());
+  for (std::size_t p = 0; p < k; ++p)
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto v = static_cast<float>(rng.normal());
+      rows[p * n + j] = v;
+      cols[j * k + p] = v;
+      strided[p * 2 * n + 2 * j] = v;
+    }
+  for (auto& v : c0) v = static_cast<float>(rng.normal());
+  const detail::MatView av{a.data(), k, 1};
+  for (const bool acc : {false, true}) {
     const auto product = [&](detail::MatView b) {
-      std::vector<float> c(s.m * s.n);
-      detail::gemm(s.m, s.n, s.k, av, b, c.data());
+      std::vector<float> c = c0;
+      if (acc)
+        detail::gemm_acc(m, n, k, av, b, c.data());
+      else
+        detail::gemm(m, n, k, av, b, c.data());
       return c;
     };
-    const std::vector<float> transposed = product({cols.data(), 1, s.k});
-    const std::vector<float> gathered =
-        product({strided.data(), 2 * s.n, 2});
+    const std::vector<float> gathered = product({strided.data(), 2 * n, 2});
+    const std::vector<float> transposed = product({cols.data(), 1, k});
     ASSERT_EQ(std::memcmp(transposed.data(), gathered.data(),
-                          transposed.size() * sizeof(float)),
-              0);
-    if (s.contiguous_blocked) {
-      const std::vector<float> contiguous = product({rows.data(), s.n, 1});
+                          gathered.size() * sizeof(float)),
+              0)
+        << "acc=" << acc;
+    if (with_contiguous) {
+      const std::vector<float> contiguous = product({rows.data(), n, 1});
       ASSERT_EQ(std::memcmp(contiguous.data(), gathered.data(),
-                            contiguous.size() * sizeof(float)),
-                0);
+                            gathered.size() * sizeof(float)),
+                0)
+          << "acc=" << acc;
     }
   }
+}
+
+TEST(GemmEquivalence, BlockedPathBitIdenticalAcrossBLayouts) {
+  // The blocked path packs B the same way whether B is row-contiguous, stored
+  // transposed, or a generic strided view. m16·n1024·k72 is CNN5's conv2
+  // forward at batch 16 (every layout takes the blocked path); m8·n27·k4096
+  // is conv1's weight gradient, whose row-contiguous form takes the skinny
+  // path instead (one chain over all of k, not one per KC chunk) and is
+  // left out; m16·n1000·k300 adds a ragged last sliver and a second KC
+  // chunk.
+  expect_b_layouts_bit_identical(16, 1024, 72, true);
+  expect_b_layouts_bit_identical(8, 27, 4096, false);
+  expect_b_layouts_bit_identical(16, 1000, 300, true);
+}
+
+TEST(GemmEquivalence, SmallShapesBitIdenticalAcrossBLayouts) {
+  // Below the skinny cutoff a B that is not row-contiguous is copied dense
+  // before the skinny kernel runs, so A·Bᵀ must equal A times Bᵀ stored
+  // row-major. The shapes (m·n·k) are the MLP input gradients dY·Wᵀ
+  // (m = batch, n = in_features, k = out_features) of round_mlp (batch 16,
+  // 32-64-64-10), fleet_1m (batch 32) and sweep_mixed (batch 8), then
+  // ragged n and k, k = 1 and m = 1.
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  for (const Shape s :
+       {Shape{16, 32, 64}, Shape{16, 64, 64}, Shape{16, 64, 10},
+        Shape{32, 32, 32}, Shape{32, 32, 10}, Shape{8, 64, 64},
+        Shape{8, 64, 10}, Shape{16, 27, 64}, Shape{16, 64, 17},
+        Shape{13, 27, 17}, Shape{16, 64, 1}, Shape{1, 64, 64},
+        Shape{1, 27, 17}})
+    expect_b_layouts_bit_identical(s.m, s.n, s.k, true);
 }
 
 TEST(GemmEquivalence, BlockedPathBitIdenticalAcrossALayouts) {
@@ -167,10 +196,10 @@ TEST(GemmEquivalence, BlockedPathBitIdenticalAcrossALayouts) {
   // or strided A is packed and runs the MR×NR kernels. Both give every C element the same multiply-add
   // sequence, so gemm and gemm_acc must agree bit for bit. B is stored
   // transposed, as in the conv weight gradient, so every layout takes the
-  // blocked path (every shape is above the dot-product cutoff, which would
-  // take the row-contiguous A alone). The shapes cover conv1's dW (m = 8: a
-  // 6-row and a 2-row tile, a full and an 11-wide sliver, 16 KC chunks), odd
-  // row and sliver counts with a ragged KC chunk, and a single sliver.
+  // blocked path (every shape is above the skinny cutoff). The shapes cover
+  // conv1's dW (m = 8: a 6-row and a 2-row tile, a full and an 11-wide
+  // sliver, 16 KC chunks), odd row and sliver counts with a ragged KC
+  // chunk, and a single sliver.
   struct Shape {
     std::size_t m, n, k;
   };
