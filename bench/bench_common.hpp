@@ -1,5 +1,4 @@
-// Shared helpers for the bench binaries (figures, precision_frontier,
-// micro_kernels).
+// Shared helpers for the bench binaries (figures, micro_kernels).
 //
 // Scaling: the paper's experiments ran on 8 V100s; this repository targets
 // one CPU core. `--scale` (default 0.33) scales client counts / data sizes,
@@ -23,7 +22,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -206,17 +204,6 @@ inline std::vector<core::SweepCell> seed_cells(const core::SweepCell& cell) {
     cells[s].config.seed = cells[s].spec.seed ^ 0x5eed;
   }
   return cells;
-}
-
-/// Runs one configuration across bench_seeds() federations as one sweep
-/// and averages the curves.
-inline core::TrainResult run_config_seeds(const core::SweepCell& cell) {
-  std::vector<core::SweepCellResult> cells =
-      core::run_sweep(seed_cells(cell), sweep_options()).cells;
-  std::vector<core::TrainResult> results;
-  results.reserve(cells.size());
-  for (auto& c : cells) results.push_back(std::move(c.result));
-  return average_results(results);
 }
 
 }  // namespace groupfel::bench

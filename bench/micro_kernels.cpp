@@ -13,8 +13,8 @@
 //   ./micro_kernels --smoke    fast correctness-weighted pass for ctest:
 //                              tiny rep budget, hard-fails if an optimized
 //                              kernel diverges from its oracle beyond its
-//                              per-precision tolerance (fp32 1e-4; bf16 /
-//                              fp16 widen to their storage rounding — see
+//                              per-precision tolerance (fp32 1e-4; bf16
+//                              widens to its storage rounding — see
 //                              docs/DEVELOPMENT.md "Mixed precision")
 //                              The full run also enforces per-row speed
 //                              gates (min_speedup in the JSON).
@@ -149,17 +149,15 @@ KernelReport bench_gemm(const std::string& name, int variant, std::size_t m,
   return r;
 }
 
-/// Times a half-storage GEMM against the fp32 BLOCKED kernel (not the naive
-/// oracle): both operands are value-rounded to the storage precision once,
-/// accumulation stays fp32, so max_rel_err is pure storage-rounding error.
-/// Tolerances follow the precision's rounding envelope at this shape class
-/// (docs/DEVELOPMENT.md "Mixed precision"): with unit-normal operands the
-/// worst absolute error grows like sqrt(k) * 2^-(significand bits), so at
-/// k = 256 the max over entries with |ref| near the denominator floor of 1
-/// reaches ~1.5e-1 for bf16 (8-bit significand) and ~2e-2 for fp16 (11
-/// bits); gates sit above with margin.
-KernelReport bench_gemm_half(const std::string& name,
-                             nn::StoragePrecision sp, std::size_t m,
+/// Times a bf16-storage GEMM against the fp32 BLOCKED kernel (not the naive
+/// oracle): both operands are value-rounded to bf16 once, accumulation
+/// stays fp32, so max_rel_err is pure storage-rounding error. The tolerance
+/// follows bf16's rounding envelope at this shape class (docs/DEVELOPMENT.md
+/// "Mixed precision"): with unit-normal operands the worst absolute error
+/// grows like sqrt(k) * 2^-8 (8-bit significand), so at k = 256 the max over
+/// entries with |ref| near the denominator floor of 1 reaches ~1.5e-1; the
+/// gate sits above with margin.
+KernelReport bench_gemm_bf16(const std::string& name, std::size_t m,
                              std::size_t k, std::size_t n, std::size_t reps) {
   runtime::Rng rng(m * 1315423911u + k * 2654435761u + n);
   nn::Tensor a({m, k}), b({k, n});
@@ -167,7 +165,9 @@ KernelReport bench_gemm_half(const std::string& name,
   fill_random(a, rng);
   fill_random(b, rng);
 
-  const auto opt = [&] { nn::matmul(a, b, out, sp); };
+  const auto opt = [&] {
+    nn::matmul(a, b, out, nn::StoragePrecision::kBf16);
+  };
   const auto fp32 = [&] { nn::matmul(a, b, ref); };
 
   KernelReport r;
@@ -176,15 +176,15 @@ KernelReport bench_gemm_half(const std::string& name,
             std::to_string(n);
   r.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
             static_cast<double>(n);
-  r.tolerance = sp == nn::StoragePrecision::kBf16 ? 2.5e-1 : 3e-2;
+  r.tolerance = 2.5e-1;
   opt();  // warms the workspace arena; result reused for the error check
   fp32();
   r.max_rel_err = max_rel_error(out, ref);
   r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
   r.naive_gflops = r.flops / time_best(fp32, reps) * 1e-9;
   r.speedup = r.opt_gflops / r.naive_gflops;
-  r.note = std::string("baseline is the fp32 blocked kernel; ") +
-           nn::to_string(sp) + " storage, fp32 accumulation";
+  r.note = "baseline is the fp32 blocked kernel; bf16 storage, fp32 "
+           "accumulation";
   return r;
 }
 
@@ -682,18 +682,11 @@ int main(int argc, char** argv) {
   reports.push_back(bench_gemm("gemm", 0, 256, 256, 256, 7));
   reports.push_back(bench_gemm("gemm_bt", 1, 256, 256, 256, 7));
   reports.push_back(bench_gemm("gemm_at", 2, 256, 256, 256, 7));
-  // Half-storage GEMM at the same reference point, measured against the
-  // fp32 blocked kernel (the fp32-vs-bf16 rows the perf gate reads), plus
+  // bf16-storage GEMM at the same reference point, measured against the
+  // fp32 blocked kernel (the fp32-vs-bf16 row the perf gate reads), plus
   // the MLP eval shape where the skinny-dispatch fallback engages.
-  reports.push_back(
-      bench_gemm_half("gemm_bf16", nn::StoragePrecision::kBf16, 256, 256,
-                      256, 7));
-  reports.push_back(
-      bench_gemm_half("gemm_fp16", nn::StoragePrecision::kFp16, 256, 256,
-                      256, 7));
-  reports.push_back(bench_gemm_half("gemm_bf16_mlp_eval",
-                                    nn::StoragePrecision::kBf16, 256, 32, 64,
-                                    51));
+  reports.push_back(bench_gemm_bf16("gemm_bf16", 256, 256, 256, 7));
+  reports.push_back(bench_gemm_bf16("gemm_bf16_mlp_eval", 256, 32, 64, 51));
   // MLP surrogate shapes: train batch 8 and eval batch 256 over the CIFAR
   // feature width (32 → hidden 64).
   reports.push_back(bench_gemm("gemm_mlp_train", 0, 8, 32, 64, 51));
@@ -758,7 +751,7 @@ int main(int argc, char** argv) {
 
   // Correctness gate (the ctest smoke target relies on this): each row
   // carries its own tolerance — 1e-4 for fp32 kernels, widened for the
-  // half-storage rows to their documented rounding envelope.
+  // bf16-storage rows to their documented rounding envelope.
   bool ok = true;
   for (const auto& r : reports) {
     if (r.max_rel_err > r.tolerance) {

@@ -172,8 +172,11 @@ GroupFelConfig decode_group_fel_config(nn::ByteReader& r) {
   cfg.reuse_model_replicas = r.boolean();
   cfg.parallel_aggregation = r.boolean();
 
+  // The value 2 (a retired fp16 compute storage) is rejected; the field
+  // keeps its u32 slot, so the byte layout and kSweepCodecVersion are
+  // unchanged.
   cfg.precision.compute =
-      get_enum(r, nn::StoragePrecision::kFp16, "StoragePrecision");
+      get_enum(r, nn::StoragePrecision::kBf16, "StoragePrecision");
   cfg.precision.wire = get_enum(r, compression::Codec::kFp16, "Codec");
 
   cfg.seed = r.u64();

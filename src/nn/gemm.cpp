@@ -574,47 +574,37 @@ void gemm_impl_fp32(std::size_t m, std::size_t n, std::size_t k, MatView a,
 }
 
 // ---------------------------------------------------------------------------
-// Half-width storage paths (bf16 / fp16 operand packs, fp32 accumulation).
+// bf16 storage path (bf16 operand packs, fp32 accumulation).
 //
 // Value semantics for every shape and every sub-path: each operand element
-// passes through the selected half format exactly once (RNE) on its way into
-// a pack or an operand copy, and all arithmetic downstream is fp32. The
-// blocked path stores B packs (and, on AMX, A packs) half-width so the
-// micro-kernel streams half the bytes; shapes the fp32 dispatch routes
-// around the blocked path instead run the fp32 kernels over storage-rounded
-// dense operand copies. Dispatch depends only on shape and process-constant
-// hardware facts, never on pool size, so per-precision bit-identity across
-// pool sizes carries over from the fp32 path.
+// passes through bf16 exactly once (RNE) on its way into a pack or an
+// operand copy, and all arithmetic downstream is fp32. The blocked path
+// stores B packs (and, on AMX, A packs) half-width so the micro-kernel
+// streams half the bytes; shapes the fp32 dispatch routes around the
+// blocked path instead run the fp32 kernels over storage-rounded dense
+// operand copies. Dispatch depends only on shape and process-constant
+// hardware facts, never on pool size, so bf16 bit-identity across pool
+// sizes carries over from the fp32 path.
 // ---------------------------------------------------------------------------
 
-inline float round_half(float v, StoragePrecision sp) {
-  return sp == StoragePrecision::kBf16 ? util::half::round_bf16(v)
-                                       : util::half::round_fp16(v);
-}
-
-/// Dense row-major storage-rounded copy of a strided view.
-void round_dense(MatView src, std::size_t rows, std::size_t cols,
-                 StoragePrecision sp, float* __restrict dst) {
+/// Dense row-major bf16-rounded copy of a strided view.
+void round_dense_bf16(MatView src, std::size_t rows, std::size_t cols,
+                      float* __restrict dst) {
   dense_copy(src, rows, cols, dst);
   const std::size_t size = rows * cols;
-  if (sp == StoragePrecision::kBf16) {
-    for (std::size_t i = 0; i < size; ++i)
-      dst[i] = util::half::round_bf16(dst[i]);
-  } else {
-    for (std::size_t i = 0; i < size; ++i)
-      dst[i] = util::half::round_fp16(dst[i]);
-  }
+  for (std::size_t i = 0; i < size; ++i)
+    dst[i] = util::half::round_bf16(dst[i]);
 }
 
 /// Small/skinny shapes: round both operands into dense copies once, then
 /// reuse the fp32 kernels unchanged.
 void gemm_rounded_copy(std::size_t m, std::size_t n, std::size_t k, MatView a,
-                       MatView b, float* c, StoragePrecision sp) {
+                       MatView b, float* c) {
   auto& arena = runtime::WorkspaceArena::local();
   auto a_buf = arena.acquire(m * k);
   auto b_buf = arena.acquire(k * n);
-  round_dense(a, m, k, sp, a_buf.data());
-  round_dense(b, k, n, sp, b_buf.data());
+  round_dense_bf16(a, m, k, a_buf.data());
+  round_dense_bf16(b, k, n, b_buf.data());
   gemm_impl_fp32(m, n, k, MatView{a_buf.data(), k, 1},
                  MatView{b_buf.data(), n, 1}, c);
 }
@@ -623,30 +613,18 @@ void gemm_rounded_copy(std::size_t m, std::size_t n, std::size_t k, MatView a,
 
 namespace hv = util::half::simd;
 
-/// Out-parameter rather than a vector return: a by-value 64-byte vector
-/// changes the ABI between ISA levels, which -Wpsabi rejects in portable
-/// (non-native) builds.
-template <StoragePrecision SP>
-inline void expand16(const std::uint16_t* p, hv::v16f& out) {
-  if constexpr (SP == StoragePrecision::kBf16)
-    hv::expand_bf16(p, out);
-  else
-    hv::expand_fp16(p, out);
-}
-
-/// Full MR×NR tile over a half-width packed B sliver. The A sliver holds
-/// fp32 values pre-rounded through the half format at pack time: the A panel
-/// is L2-resident and reused across every column sliver, so widening it
-/// costs no streaming bandwidth, while B — the operand the kernel actually
-/// streams — is read half-width and expanded in registers.
-template <StoragePrecision SP>
-void kernel_full_h(std::size_t kc, const float* __restrict a,
-                   const std::uint16_t* __restrict b, float* __restrict c,
-                   std::size_t ldc) {
+/// Full MR×NR tile over a bf16 packed B sliver. The A sliver holds fp32
+/// values pre-rounded through bf16 at pack time: the A panel is L2-resident
+/// and reused across every column sliver, so widening it costs no streaming
+/// bandwidth, while B — the operand the kernel actually streams — is read
+/// half-width and expanded in registers.
+void kernel_full_bf16(std::size_t kc, const float* __restrict a,
+                      const std::uint16_t* __restrict b, float* __restrict c,
+                      std::size_t ldc) {
   hv::v16f acc0{}, acc1{}, acc2{}, acc3{}, acc4{}, acc5{};
   for (std::size_t p = 0; p < kc; ++p) {
     hv::v16f bv;
-    expand16<SP>(b + p * NR, bv);
+    hv::expand_bf16(b + p * NR, bv);
     const float* __restrict ap = a + p * MR;
     acc0 += ap[0] * bv;
     acc1 += ap[1] * bv;
@@ -662,14 +640,13 @@ void kernel_full_h(std::size_t kc, const float* __restrict a,
   }
 }
 
-template <StoragePrecision SP>
-void kernel_edge_h(std::size_t kc, const float* __restrict a,
-                   const std::uint16_t* __restrict b, std::size_t mr,
-                   std::size_t nr, float* __restrict c, std::size_t ldc) {
+void kernel_edge_bf16(std::size_t kc, const float* __restrict a,
+                      const std::uint16_t* __restrict b, std::size_t mr,
+                      std::size_t nr, float* __restrict c, std::size_t ldc) {
   hv::v16f acc0{}, acc1{}, acc2{}, acc3{}, acc4{}, acc5{};
   for (std::size_t p = 0; p < kc; ++p) {
     hv::v16f bv;
-    expand16<SP>(b + p * NR, bv);
+    hv::expand_bf16(b + p * NR, bv);
     const float* __restrict ap = a + p * MR;
     acc0 += ap[0] * bv;
     acc1 += ap[1] * bv;
@@ -685,57 +662,47 @@ void kernel_edge_h(std::size_t kc, const float* __restrict a,
   }
 }
 
-/// pack_a with each element rounded through the half format (stored fp32 —
-/// see kernel_full_h for why A stays widened).
-template <StoragePrecision SP>
-void pack_a_rounded(MatView a, std::size_t i0, std::size_t mc, std::size_t p0,
-                    std::size_t kc, float* __restrict dst) {
+/// pack_a with each element rounded through bf16 (stored fp32 — see
+/// kernel_full_bf16 for why A stays widened).
+void pack_a_bf16(MatView a, std::size_t i0, std::size_t mc, std::size_t p0,
+                 std::size_t kc, float* __restrict dst) {
   for (std::size_t i = 0; i < mc; i += MR) {
     const std::size_t mr = std::min(MR, mc - i);
     const float* src = a.p + (i0 + i) * a.rs + p0 * a.cs;
     for (std::size_t p = 0; p < kc; ++p) {
       const float* col = src + p * a.cs;
       std::size_t ii = 0;
-      for (; ii < mr; ++ii)
-        dst[ii] = round_half(col[ii * a.rs],
-                             SP);  // constant-folds per instantiation
+      for (; ii < mr; ++ii) dst[ii] = util::half::round_bf16(col[ii * a.rs]);
       for (; ii < MR; ++ii) dst[ii] = 0.0f;
       dst += MR;
     }
   }
 }
 
-/// pack_b converting to half-width bits (zero-padded like the fp32 pack).
-template <StoragePrecision SP>
-void pack_b_h(MatView b, std::size_t p0, std::size_t kc, std::size_t j0,
-              std::size_t nc, std::uint16_t* __restrict dst) {
-  const auto encode = [](float v) {
-    if constexpr (SP == StoragePrecision::kBf16)
-      return util::half::to_bf16_bits(v);
-    else
-      return util::half::to_fp16_bits(v);
-  };
+/// pack_b converting to bf16 bits (zero-padded like the fp32 pack).
+void pack_b_bf16(MatView b, std::size_t p0, std::size_t kc, std::size_t j0,
+                 std::size_t nc, std::uint16_t* __restrict dst) {
   for (std::size_t j = 0; j < nc; j += NR) {
     const std::size_t nr = std::min(NR, nc - j);
     const float* src = b.p + p0 * b.rs + (j0 + j) * b.cs;
     for (std::size_t p = 0; p < kc; ++p) {
       const float* row = src + p * b.rs;
       std::size_t jj = 0;
-      for (; jj < nr; ++jj) dst[jj] = encode(row[jj * b.cs]);
+      for (; jj < nr; ++jj)
+        dst[jj] = util::half::to_bf16_bits(row[jj * b.cs]);
       for (; jj < NR; ++jj) dst[jj] = 0;
       dst += NR;
     }
   }
 }
 
-template <StoragePrecision SP>
-void run_row_panel_h(MatView a, std::size_t ic, std::size_t mc,
-                     std::size_t pc, std::size_t kc,
-                     const std::uint16_t* b_pack, std::size_t jc,
-                     std::size_t nc, float* c, std::size_t ldc) {
+void run_row_panel_bf16(MatView a, std::size_t ic, std::size_t mc,
+                        std::size_t pc, std::size_t kc,
+                        const std::uint16_t* b_pack, std::size_t jc,
+                        std::size_t nc, float* c, std::size_t ldc) {
   auto a_buf =
       runtime::WorkspaceArena::local().acquire(ceil_div(mc, MR) * MR * kc);
-  pack_a_rounded<SP>(a, ic, mc, pc, kc, a_buf.data());
+  pack_a_bf16(a, ic, mc, pc, kc, a_buf.data());
   for (std::size_t jr = 0; jr < nc; jr += NR) {
     const std::size_t nr = std::min(NR, nc - jr);
     const std::uint16_t* bp = b_pack + (jr / NR) * (NR * kc);
@@ -744,17 +711,16 @@ void run_row_panel_h(MatView a, std::size_t ic, std::size_t mc,
       const float* ap = a_buf.data() + (ir / MR) * (MR * kc);
       float* cp = c + (ic + ir) * ldc + jc + jr;
       if (mr == MR && nr == NR)
-        kernel_full_h<SP>(kc, ap, bp, cp, ldc);
+        kernel_full_bf16(kc, ap, bp, cp, ldc);
       else
-        kernel_edge_h<SP>(kc, ap, bp, mr, nr, cp, ldc);
+        kernel_edge_bf16(kc, ap, bp, mr, nr, cp, ldc);
     }
   }
 }
 
-/// Blocked half-storage path: identical blocking and parallel split to the
-/// fp32 path, with B packed half-width and expanded in registers.
-template <StoragePrecision SP>
-void gemm_blocked_half(std::size_t m, std::size_t n, std::size_t k, MatView a,
+/// Blocked bf16 path: identical blocking and parallel split to the fp32
+/// path, with B packed half-width and expanded in registers.
+void gemm_blocked_bf16(std::size_t m, std::size_t n, std::size_t k, MatView a,
                        MatView b, float* c) {
   auto& pool = runtime::ThreadPool::global();
   for (std::size_t jc = 0; jc < n; jc += NC) {
@@ -765,7 +731,7 @@ void gemm_blocked_half(std::size_t m, std::size_t n, std::size_t k, MatView a,
       auto b_buf = runtime::WorkspaceArena::local().acquire(
           ceil_div(b_u16, 2) + 1);
       auto* b_half = reinterpret_cast<std::uint16_t*>(b_buf.data());
-      pack_b_h<SP>(b, pc, kc, jc, nc, b_half);
+      pack_b_bf16(b, pc, kc, jc, nc, b_half);
 
       const std::size_t panels = ceil_div(m, MC);
       const bool parallel = pool.size() > 1 && panels > 1 &&
@@ -773,13 +739,13 @@ void gemm_blocked_half(std::size_t m, std::size_t n, std::size_t k, MatView a,
       if (parallel) {
         pool.parallel_for(panels, [&](std::size_t pi) {
           const std::size_t ic = pi * MC;
-          run_row_panel_h<SP>(a, ic, std::min(MC, m - ic), pc, kc, b_half,
-                              jc, nc, c, n);
+          run_row_panel_bf16(a, ic, std::min(MC, m - ic), pc, kc, b_half, jc,
+                             nc, c, n);
         });
       } else {
         for (std::size_t ic = 0; ic < m; ic += MC)
-          run_row_panel_h<SP>(a, ic, std::min(MC, m - ic), pc, kc, b_half,
-                              jc, nc, c, n);
+          run_row_panel_bf16(a, ic, std::min(MC, m - ic), pc, kc, b_half, jc,
+                             nc, c, n);
       }
     }
   }
@@ -975,30 +941,27 @@ void gemm_blocked_amx(std::size_t m, std::size_t n, std::size_t k, MatView a,
 
 #endif  // GROUPFEL_GEMM_AMX
 
-/// Half-storage dispatch. Shapes the fp32 dispatch keeps out of the blocked
-/// path (the register-tiled skinny kernel) compute on
-/// storage-rounded operand copies instead — identical value semantics, and
-/// the copies are tiny exactly where those paths apply.
-void gemm_impl_half(std::size_t m, std::size_t n, std::size_t k, MatView a,
-                    MatView b, float* c, StoragePrecision sp) {
+/// bf16 dispatch. Shapes the fp32 dispatch keeps out of the blocked path
+/// (the register-tiled skinny kernel) compute on bf16-rounded operand
+/// copies instead — identical value semantics, and the copies are tiny
+/// exactly where those paths apply.
+void gemm_impl_bf16(std::size_t m, std::size_t n, std::size_t k, MatView a,
+                    MatView b, float* c) {
   if (m == 0 || n == 0 || k == 0) return;
 #ifdef GROUPFEL_GEMM_VECTOR_EXT
   if (m <= kSkinnyRows || m * n * k <= kSkinnyFlops) {
-    gemm_rounded_copy(m, n, k, a, b, c, sp);
+    gemm_rounded_copy(m, n, k, a, b, c);
     return;
   }
 #ifdef GROUPFEL_GEMM_AMX
-  if (sp == StoragePrecision::kBf16 && amx_available()) {
+  if (amx_available()) {
     gemm_blocked_amx(m, n, k, a, b, c);
     return;
   }
 #endif
-  if (sp == StoragePrecision::kBf16)
-    gemm_blocked_half<StoragePrecision::kBf16>(m, n, k, a, b, c);
-  else
-    gemm_blocked_half<StoragePrecision::kFp16>(m, n, k, a, b, c);
+  gemm_blocked_bf16(m, n, k, a, b, c);
 #else   // no GNU vector extensions: rounded copies + portable fp32 kernels
-  gemm_rounded_copy(m, n, k, a, b, c, sp);
+  gemm_rounded_copy(m, n, k, a, b, c);
 #endif  // GROUPFEL_GEMM_VECTOR_EXT
 }
 
@@ -1007,7 +970,7 @@ void gemm_impl(std::size_t m, std::size_t n, std::size_t k, MatView a,
   if (sp == StoragePrecision::kFp32)
     gemm_impl_fp32(m, n, k, a, b, c);
   else
-    gemm_impl_half(m, n, k, a, b, c, sp);
+    gemm_impl_bf16(m, n, k, a, b, c);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "runtime/proc/subprocess.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>  // NOLINT(modernize-deprecated-headers): sigaction API
 #include <sys/wait.h>
@@ -47,10 +48,12 @@ Subprocess Subprocess::spawn(const std::function<int(int, int)>& child_main,
   // reads. [0] = read end, [1] = write end.
   int to_child[2] = {-1, -1};
   int from_child[2] = {-1, -1};
-  if (::pipe(to_child) != 0)
+  // O_CLOEXEC: workers fork without exec and keep their ends, but a
+  // fork+exec helper started by anyone in this process never inherits them.
+  if (::pipe2(to_child, O_CLOEXEC) != 0)
     throw std::runtime_error(std::string("Subprocess: pipe: ") +
                              std::strerror(errno));
-  if (::pipe(from_child) != 0) {
+  if (::pipe2(from_child, O_CLOEXEC) != 0) {
     close_quiet(to_child[0]);
     close_quiet(to_child[1]);
     throw std::runtime_error(std::string("Subprocess: pipe: ") +

@@ -45,8 +45,9 @@ class Subprocess {
   /// child shares the parent's address space image and must not run its
   /// cleanup). `extra_close` lists parent-side fds the child must not
   /// inherit (other workers' pipe ends), so a dead parent reliably turns
-  /// into EOF on every worker's read end. Throws std::runtime_error when
-  /// pipe() or fork() fails.
+  /// into EOF on every worker's read end. The pipes are O_CLOEXEC, so no
+  /// program exec'd from this process inherits them. Throws
+  /// std::runtime_error when pipe2() or fork() fails.
   static Subprocess spawn(const std::function<int(int, int)>& child_main,
                           std::span<const int> extra_close = {});
 

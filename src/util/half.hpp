@@ -1,6 +1,6 @@
 // Half-width floating-point storage types: IEEE 754 binary16 (fp16) and
 // bfloat16 (bf16), with the scalar and vectorized conversion routines the
-// mixed-precision GEMM packs and the wire codecs are built on.
+// bf16 GEMM packs and the fp16 wire codec are built on.
 //
 // This header is the ONLY place in the repository where float bits may be
 // reinterpreted as half-width bits or vice versa (scripts/lint.py rule
@@ -16,10 +16,10 @@
 //    with or without -march=native — produces identical bits (determinism:
 //    results never depend on which TU did the conversion).
 //
-// The simd sub-namespace provides the in-register expand loads the
-// convert-on-load micro-kernels use (GNU vector extensions; F16C where the
-// including TU is compiled with it). Accumulation is always fp32 — half
-// types are a STORAGE format in this codebase, never an accumulator.
+// The simd sub-namespace provides the in-register bf16 expand load the
+// convert-on-load micro-kernels use (GNU vector extensions). Accumulation is
+// always fp32 — half types are a STORAGE format in this codebase, never an
+// accumulator.
 #pragma once
 
 #include <cstdint>
@@ -114,8 +114,8 @@ inline float from_fp16_bits(std::uint16_t h) noexcept {
 }
 
 /// Round-trips through the half format: the value a reader of half storage
-/// observes. The storage-rounding semantics of the mixed-precision GEMM and
-/// the fp16 wire codec are defined as exactly this function per element.
+/// observes. The storage-rounding semantics of the bf16 GEMM and the fp16
+/// wire codec are defined as exactly these functions per element.
 inline float round_bf16(float f) noexcept { return from_bf16_bits(to_bf16_bits(f)); }
 inline float round_fp16(float f) noexcept { return from_fp16_bits(to_fp16_bits(f)); }
 
@@ -128,7 +128,7 @@ inline std::uint32_t pair_bf16(float lo, float hi) noexcept {
 
 // ---------------- span conversions ----------------
 //
-// Plain loops over the scalar converters: integer-only bodies that the
+// A plain loop over the scalar converter: an integer-only body that the
 // autovectorizer lifts to SIMD in the kernel TUs, with bit-identical
 // results in every TU.
 
@@ -136,30 +136,14 @@ inline void encode_bf16(std::span<const float> src, std::uint16_t* dst) noexcept
   for (std::size_t i = 0; i < src.size(); ++i) dst[i] = to_bf16_bits(src[i]);
 }
 
-inline void decode_bf16(const std::uint16_t* src, std::span<float> dst) noexcept {
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = from_bf16_bits(src[i]);
-}
-
-inline void encode_fp16(std::span<const float> src, std::uint16_t* dst) noexcept {
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = to_fp16_bits(src[i]);
-}
-
-inline void decode_fp16(const std::uint16_t* src, std::span<float> dst) noexcept {
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = from_fp16_bits(src[i]);
-}
-
 }  // namespace groupfel::util::half
 
-// ---------------- SIMD expand loads (kernel TUs) ----------------
+// ---------------- SIMD expand load (kernel TUs) ----------------
 
 #if defined(__GNUC__) || defined(__clang__)
 #define GROUPFEL_HALF_SIMD 1
 
-#if defined(__F16C__)
-#include <immintrin.h>
-#endif
-
-// The helpers write through an out-parameter: a 64-byte vector passed or
+// The helper writes through an out-parameter: a 64-byte vector passed or
 // returned by value changes the calling convention between ISA levels,
 // which -Wpsabi flags in portable (non-native) builds.
 namespace groupfel::util::half::simd {
@@ -180,22 +164,6 @@ inline void expand_bf16(const std::uint16_t* p, v16f& out) noexcept {
   v16u32 w = __builtin_convertvector(h, v16u32);
   w = w << 16;
   std::memcpy(&out, &w, sizeof(out));
-}
-
-/// 16 fp16 values expanded to fp32 lanes. With F16C this is one VCVTPH2PS;
-/// the scalar fallback produces identical bits (exact conversion).
-inline void expand_fp16(const std::uint16_t* p, v16f& out) noexcept {
-#if defined(__F16C__) && defined(__AVX512F__)
-  // maskz variant: same VCVTPH2PS, but avoids the _mm512_undefined_ps()
-  // idiom inside plain _mm512_cvtph_ps that GCC's -Wmaybe-uninitialized
-  // flags once this inlines into larger loops.
-  const __m512 w = _mm512_maskz_cvtph_ps(
-      static_cast<__mmask16>(0xffff),
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-  std::memcpy(&out, &w, sizeof(out));
-#else
-  for (std::size_t l = 0; l < 16; ++l) out[l] = from_fp16_bits(p[l]);
-#endif
 }
 
 }  // namespace groupfel::util::half::simd

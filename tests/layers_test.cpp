@@ -9,7 +9,7 @@
 #include <cstring>
 #include <limits>
 
-#include "nn/gradcheck.hpp"
+#include "support/gradcheck.hpp"
 #include "nn/models.hpp"
 
 namespace groupfel::nn {

@@ -1,11 +1,12 @@
-// Mixed-precision plumbing: storage-rounded GEMM tolerances, precision
+// Mixed-precision plumbing: bf16-storage GEMM tolerances, precision
 // propagation through Model/clone, the PrecisionConfig -> trainer wiring,
-// and pool-size bit-identity of a non-default precision config (the
-// tentpole's determinism invariant; precision_frontier --smoke gates the
-// full matrix at {0, 2, 24}).
+// pool-size bit-identity of every precision cell of the figures row
+// `ablation_precision` at pools {0, 2, 24}, and the fp16 wire's byte
+// halving.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "compression/compressor.hpp"
@@ -40,10 +41,10 @@ double max_rel_error(const nn::Tensor& got, const nn::Tensor& want) {
 
 // Per-precision tolerance policy (docs/DEVELOPMENT.md "Mixed precision"):
 // storage rounding perturbs each operand element by at most half an ulp of
-// the half format; the fp32-accumulated result then differs from the fp32
-// kernel by an absolute error of order sqrt(k) * ulp, which against the
-// max(1, |ref|) denominator bounds relative error at ~1.5e-1 for bf16
-// (8-bit significand) and ~2e-2 for fp16 (11-bit) through k = 256.
+// bf16; the fp32-accumulated result then differs from the fp32 kernel by an
+// absolute error of order sqrt(k) * ulp, which against the max(1, |ref|)
+// denominator bounds relative error at ~1.5e-1 (8-bit significand) through
+// k = 256.
 TEST(MixedPrecisionGemm, HalfStorageStaysWithinTolerance) {
   for (const std::size_t n : {16u, 64u, 192u}) {
     runtime::Rng rng(n);
@@ -53,8 +54,6 @@ TEST(MixedPrecisionGemm, HalfStorageStaysWithinTolerance) {
     nn::matmul(a, b, ref);
     nn::matmul(a, b, out, StoragePrecision::kBf16);
     EXPECT_LT(max_rel_error(out, ref), 1.5e-1) << "bf16 n=" << n;
-    nn::matmul(a, b, out, StoragePrecision::kFp16);
-    EXPECT_LT(max_rel_error(out, ref), 2e-2) << "fp16 n=" << n;
   }
 }
 
@@ -77,12 +76,10 @@ TEST(MixedPrecisionGemm, HalfStorageIsDeterministic) {
   nn::Tensor a({n, n}), b({n, n}), first({n, n}), again({n, n});
   fill_random(a, rng);
   fill_random(b, rng);
-  for (const auto sp : {StoragePrecision::kBf16, StoragePrecision::kFp16}) {
-    nn::matmul(a, b, first, sp);
-    nn::matmul(a, b, again, sp);
-    for (std::size_t i = 0; i < first.size(); ++i)
-      EXPECT_EQ(first[i], again[i]);
-  }
+  nn::matmul(a, b, first, StoragePrecision::kBf16);
+  nn::matmul(a, b, again, StoragePrecision::kBf16);
+  for (std::size_t i = 0; i < first.size(); ++i)
+    EXPECT_EQ(first[i], again[i]);
 }
 
 TEST(MixedPrecisionModel, ClonePreservesComputePrecision) {
@@ -126,12 +123,12 @@ TEST(PrecisionConfig, DefaultsAreExactLegacyBehavior) {
   EXPECT_EQ(core::secagg_frac_bits(compression::Codec::kInt8Sr), 7u);
 }
 
-core::Experiment tiny_experiment() {
+core::Experiment tiny_experiment(std::size_t mlp_hidden = 16) {
   core::ExperimentSpec spec = core::default_cifar_spec(0.2);
   spec.num_clients = 16;
   spec.num_edges = 2;
   spec.test_size = 100;
-  spec.mlp_hidden = 16;
+  spec.mlp_hidden = mlp_hidden;
   return core::build_experiment(spec);
 }
 
@@ -159,20 +156,41 @@ core::TrainResult train_with(const core::Experiment& exp,
 }
 
 TEST(MixedPrecisionTrainer, CombinedConfigBitIdenticalAcrossPools) {
+  // A precision config is a pure function of the logical schedule — the SR
+  // streams are counter-based and the kernels dispatch on shape only — so
+  // final parameters must not depend on the pool size, for every compute x
+  // wire cell that figures' ablation_precision row trains.
+  using compression::Codec;
+  const std::vector<core::PrecisionConfig> cells{
+      {StoragePrecision::kFp32, Codec::kFloat32},
+      {StoragePrecision::kBf16, Codec::kFloat32},
+      {StoragePrecision::kFp32, Codec::kFp16},
+      {StoragePrecision::kFp32, Codec::kInt8Sr},
+      {StoragePrecision::kFp32, Codec::kInt8},
+      {StoragePrecision::kBf16, Codec::kFp16},
+      {StoragePrecision::kBf16, Codec::kInt8Sr},
+  };
   const core::Experiment exp = tiny_experiment();
-  core::GroupFelConfig cfg = tiny_config();
-  cfg.precision.compute = StoragePrecision::kBf16;
-  cfg.precision.wire = compression::Codec::kInt8Sr;
-
-  const core::TrainResult inline_pool = train_with(exp, cfg, 0);
-  const core::TrainResult threaded = train_with(exp, cfg, 3);
-  ASSERT_EQ(inline_pool.final_params.size(), threaded.final_params.size());
-  for (std::size_t i = 0; i < inline_pool.final_params.size(); ++i)
-    EXPECT_EQ(inline_pool.final_params[i], threaded.final_params[i]) << i;
+  for (const core::PrecisionConfig& precision : cells) {
+    SCOPED_TRACE(std::string(nn::to_string(precision.compute)) + "/" +
+                 compression::to_string(precision.wire));
+    core::GroupFelConfig cfg = tiny_config();
+    cfg.precision = precision;
+    const core::TrainResult reference = train_with(exp, cfg, 0);
+    for (const std::size_t threads : {2u, 24u}) {
+      const core::TrainResult threaded = train_with(exp, cfg, threads);
+      ASSERT_EQ(reference.final_params.size(), threaded.final_params.size());
+      for (std::size_t i = 0; i < reference.final_params.size(); ++i)
+        ASSERT_EQ(reference.final_params[i], threaded.final_params[i])
+            << "pool " << threads << ", param " << i;
+    }
+  }
 }
 
 TEST(MixedPrecisionTrainer, WireCodecActuallyPerturbsAndCharges) {
-  const core::Experiment exp = tiny_experiment();
+  // Hidden width 64 (~7k params) keeps the fixed 256 B per-message header
+  // from pushing the fp16 byte ratio above 0.51.
+  const core::Experiment exp = tiny_experiment(64);
   const core::GroupFelConfig base = tiny_config();
 
   core::GroupFelConfig fp16 = base;
@@ -198,6 +216,7 @@ TEST(MixedPrecisionTrainer, WireCodecActuallyPerturbsAndCharges) {
   const double ratio = half.history.back().cumulative_comm_bytes /
                        ref.history.back().cumulative_comm_bytes;
   EXPECT_NEAR(ratio, expected, 1e-12);
+  EXPECT_LE(ratio, 0.51);
 }
 
 TEST(MixedPrecisionTrainer, SecAggPathHonorsNarrowedFractionBits) {

@@ -276,9 +276,10 @@ TEST(ProcBackend, WorkerKilledAtSpawnIsADiagnosableError) {
   }
 }
 
-/// The one-letter state field of /proc/<pid>/stat ('Z' for a zombie).
-char proc_state(int pid) {
-  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+/// The one-letter state field of a /proc stat file ('Z' for a zombie, '?'
+/// once the file is gone).
+char stat_state(const std::filesystem::path& stat_path) {
+  std::ifstream stat(stat_path);
   std::string line;
   std::getline(stat, line);
   // "pid (comm) S ...": comm may hold spaces, so read after the last ')'.
@@ -290,11 +291,26 @@ char proc_state(int pid) {
 
 /// Polls until `pid` is a zombie: dead, not yet reaped, and every fd it held
 /// released (EOF on one of its pipes alone can come before the others
-/// close). Adds a test failure and returns false after 10 s.
+/// close). The leader alone turning 'Z' is not enough: in a multi-threaded
+/// child (a worker with a thread pool, or any process under TSan, whose
+/// runtime starts a thread of its own) another task can still be exiting,
+/// and it holds the shared fd table — and with it the pipe ends — until it
+/// is done. So every task must be gone or 'Z' too. Adds a test failure and
+/// returns false after 10 s.
 bool await_zombie(int pid) {
+  const std::filesystem::path proc = "/proc/" + std::to_string(pid);
+  const auto all_tasks_exited = [&] {
+    std::error_code ec;
+    for (const auto& task :
+         std::filesystem::directory_iterator(proc / "task", ec)) {
+      const char state = stat_state(task.path() / "stat");
+      if (state != 'Z' && state != '?') return false;
+    }
+    return !ec;
+  };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (proc_state(pid) != 'Z') {
+  while (stat_state(proc / "stat") != 'Z' || !all_tasks_exited()) {
     if (std::chrono::steady_clock::now() > deadline) {
       ADD_FAILURE() << "process " << pid << " never became a zombie";
       return false;

@@ -316,6 +316,33 @@ TEST(SweepCodec, RejectsOutOfRangeEnum) {
   EXPECT_THROW((void)decode_experiment_spec(r), std::runtime_error);
 }
 
+TEST(SweepCodec, RejectsRetiredComputePrecision) {
+  // Encode the config twice, differing only in the compute precision, to
+  // locate that field's byte; then write the retired value 2 into it.
+  GroupFelConfig cfg;
+  cfg.precision.compute = nn::StoragePrecision::kBf16;
+  nn::ByteWriter bf16, fp32;
+  encode(bf16, cfg);
+  cfg.precision.compute = nn::StoragePrecision::kFp32;
+  encode(fp32, cfg);
+  std::vector<std::byte> payload = bf16.bytes();
+  ASSERT_EQ(payload.size(), fp32.bytes().size());
+  std::size_t at = payload.size();
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    if (payload[i] != fp32.bytes()[i]) at = i;
+  ASSERT_LT(at, payload.size());
+  payload[at] = std::byte{2};
+  nn::ByteReader r(payload);
+  try {
+    (void)decode_group_fel_config(r);
+    FAIL() << "expected the retired StoragePrecision value to be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("StoragePrecision"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SweepCodec, RejectsWrongCodecVersion) {
   std::vector<std::byte> payload = encode_cell_result(sample_result());
   payload[0] ^= std::byte{0x40};  // corrupt the leading version word
