@@ -19,17 +19,12 @@ namespace groupfel::algorithms {
 
 struct LocalTrainConfig {
   std::size_t epochs = 2;       ///< E, local rounds per group round
-  std::size_t batch_size = 16;
+  std::size_t batch_size = 16;  ///< must be > 0
   float lr = 0.05f;
   float momentum = 0.0f;
   float weight_decay = 0.0f;
-  /// A/B toggle for the zero-alloc minibatch pipeline: when true (default)
-  /// run_local_sgd reuses per-thread batch/loss/permutation buffers via
-  /// batch_into + softmax_cross_entropy_into; when false it re-allocates a
-  /// fresh Batch and gradient per step (the legacy path). Both paths are
-  /// bit-identical (LocalSgd.ReusePathBitIdenticalToLegacy,
-  /// RunSweep.MatchesPerCellBuildAndTrain).
-  bool reuse_batch_buffers = true;
+  // Only benchmark/src/replay.cpp reads this; ROADMAP item 1b deletes both.
+  static constexpr bool reuse_batch_buffers = true;
 };
 
 class LocalUpdateRule {

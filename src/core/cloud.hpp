@@ -34,15 +34,10 @@ class Cloud {
   [[nodiscard]] std::vector<std::size_t> sample(std::size_t s,
                                                 runtime::Rng& rng) const;
 
-  /// Aggregates group models into the new global model. `group_models[i]`
-  /// corresponds to `sampled[i]`.
-  [[nodiscard]] std::vector<float> aggregate(
-      std::span<const std::size_t> sampled,
-      const std::vector<std::vector<float>>& group_models) const;
-
-  /// Allocation-free aggregate: writes into `out` (sized to the model) via
-  /// the fixed-shape parallel reduction. Bit-identical to aggregate() for
-  /// any pool, including nullptr (serial).
+  /// Aggregates group models into the new global model, written into `out`
+  /// (sized to the model) via the fixed-shape parallel reduction.
+  /// `group_models[i]` corresponds to `sampled[i]`. Bit-identical for any
+  /// pool, including nullptr (serial).
   void aggregate_into(std::span<float> out,
                       std::span<const std::size_t> sampled,
                       std::span<const std::span<const float>> group_models,

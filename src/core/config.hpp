@@ -127,19 +127,10 @@ struct GroupFelConfig {
   /// rounding; much slower, used by tests/examples.
   bool use_real_secagg = false;
 
-  /// Hand each worker thread a persistent model replica
-  /// (runtime::ModelReplicaCache) and exchange parameters through
-  /// caller-owned flat buffers, instead of cloning the prototype and
-  /// materializing fresh vectors for every client on every group round.
-  /// Bit-identical to the legacy path (TrainerDeterminism.
-  /// LegacyAndOptimizedPathsAgree); off = clone-per-client.
-  bool reuse_model_replicas = true;
-
-  /// Aggregate group and global models with the fixed-shape parallel
-  /// reduction (nn::weighted_average_into) instead of the serial
-  /// weighted_average copy chain. Bit-identical for any pool size; off =
-  /// legacy serial path, kept for A/B benchmarking.
-  bool parallel_aggregation = true;
+  // Only benchmark/src/replay.cpp reads this; ROADMAP item 1b deletes both.
+  static constexpr bool reuse_model_replicas = true;
+  // Only benchmark/src/replay.cpp reads this; ROADMAP item 1b deletes both.
+  static constexpr bool parallel_aggregation = true;
 
   /// Compute + wire precision (defaults are the exact fp32 path, byte- and
   /// bit-identical to configs that predate the knob).

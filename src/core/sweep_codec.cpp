@@ -84,7 +84,6 @@ void encode(nn::ByteWriter& w, const GroupFelConfig& cfg) {
   w.f32(cfg.local.lr);
   w.f32(cfg.local.momentum);
   w.f32(cfg.local.weight_decay);
-  w.boolean(cfg.local.reuse_batch_buffers);
 
   put_enum(w, cfg.rule);
   w.f32(cfg.fedprox_mu);
@@ -115,8 +114,6 @@ void encode(nn::ByteWriter& w, const GroupFelConfig& cfg) {
   w.size(cfg.eval_every);
   w.boolean(cfg.record_param_history);
   w.boolean(cfg.use_real_secagg);
-  w.boolean(cfg.reuse_model_replicas);
-  w.boolean(cfg.parallel_aggregation);
 
   put_enum(w, cfg.precision.compute);
   put_enum(w, cfg.precision.wire);
@@ -136,7 +133,6 @@ GroupFelConfig decode_group_fel_config(nn::ByteReader& r) {
   cfg.local.lr = r.f32();
   cfg.local.momentum = r.f32();
   cfg.local.weight_decay = r.f32();
-  cfg.local.reuse_batch_buffers = r.boolean();
 
   cfg.rule = get_enum(r, LocalRule::kScaffold, "LocalRule");
   cfg.fedprox_mu = r.f32();
@@ -169,12 +165,9 @@ GroupFelConfig decode_group_fel_config(nn::ByteReader& r) {
   cfg.eval_every = r.size();
   cfg.record_param_history = r.boolean();
   cfg.use_real_secagg = r.boolean();
-  cfg.reuse_model_replicas = r.boolean();
-  cfg.parallel_aggregation = r.boolean();
 
   // The value 2 (a retired fp16 compute storage) is rejected; the field
-  // keeps its u32 slot, so the byte layout and kSweepCodecVersion are
-  // unchanged.
+  // keeps its u32 slot.
   cfg.precision.compute =
       get_enum(r, nn::StoragePrecision::kBf16, "StoragePrecision");
   cfg.precision.wire = get_enum(r, compression::Codec::kFp16, "Codec");

@@ -24,7 +24,9 @@ namespace groupfel::core {
 
 /// Bump when any encoded struct changes shape.
 /// v2: GroupingParams gained parallel_windows.
-inline constexpr std::uint32_t kSweepCodecVersion = 2;
+/// v3: the legacy toggles are gone (three booleans: the batch-buffer,
+///     model-replica and parallel-aggregation A/B switches).
+inline constexpr std::uint32_t kSweepCodecVersion = 3;
 
 // Field-level codecs (composable; used by the top-level payloads below and
 // directly by tests).

@@ -97,7 +97,7 @@ class GroupFelTrainer {
   }
 
   /// Model constructions performed by the per-thread replica cache so far
-  /// (0 when cfg.reuse_model_replicas is off). Steady state adds none —
+  /// (one per participating thread). Steady state adds none —
   /// TrainerDeterminism.SteadyStateAddsNoModelConstructions asserts this
   /// stays flat across later rounds.
   [[nodiscard]] std::size_t replica_clone_count() const noexcept {

@@ -48,7 +48,7 @@ class ClientDataRef {
       lazy_->batch_into(client_, local_positions, out);
   }
 
-  /// Allocating form (legacy reuse_batch_buffers=false path).
+  /// Allocating form (test reference for batch_into).
   [[nodiscard]] DataSet::Batch batch(
       std::span<const std::size_t> local_positions) const {
     DataSet::Batch out;

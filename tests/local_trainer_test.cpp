@@ -203,5 +203,15 @@ TEST(RunLocalSgd, RespectsBatchSize) {
   EXPECT_GT(loss, 0.0);
 }
 
+TEST(RunLocalSgd, RejectsZeroBatchSize) {
+  // A zero batch size would never advance through the shard.
+  Fixture f(18);
+  LocalTrainConfig cfg;
+  cfg.batch_size = 0;
+  runtime::Rng rng(16);
+  EXPECT_THROW((void)run_local_sgd(f.model, f.shard, cfg, rng, nullptr),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace groupfel::algorithms

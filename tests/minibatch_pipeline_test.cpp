@@ -1,18 +1,22 @@
 // Zero-alloc minibatch pipeline tests: gather_into/batch_into must be
-// bit-identical to their allocating counterparts, the reuse SGD path must
-// consume the RNG stream identically to the legacy path (epoch permutations
-// are precomputed and reused, not re-drawn), and steady-state calls must
-// construct zero tensors.
+// bit-identical to their allocating counterparts, run_local_sgd must
+// consume the RNG stream identically to an allocating reference loop
+// (epoch permutations are drawn into a reused buffer), and steady-state
+// calls must construct zero tensors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "algorithms/local_trainer.hpp"
 #include "data/dataset.hpp"
 #include "data/synthetic.hpp"
+#include "nn/loss.hpp"
 #include "nn/models.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/tensor.hpp"
 
 namespace groupfel {
@@ -78,9 +82,43 @@ TEST(BatchInto, BitIdenticalToBatch) {
   expect_batches_equal(shard.batch(pos), reused);
 }
 
-// The reuse path precomputes each epoch's shuffled order once and reuses
-// the buffer; it must still draw the SAME permutations from the SAME rng
-// stream as the legacy path, so training end-states match bit for bit.
+// Independent reference for run_local_sgd: an allocating loop built from
+// batch(), softmax_cross_entropy() and a plain optimizer step. It draws one
+// permutation per epoch from the rng stream and zeroes gradients before
+// every backward pass.
+double reference_local_sgd(nn::Model& model, const data::ClientShard& shard,
+                           const algorithms::LocalTrainConfig& cfg,
+                           runtime::Rng& rng) {
+  nn::SgdOptimizer opt({.lr = cfg.lr,
+                        .momentum = cfg.momentum,
+                        .weight_decay = cfg.weight_decay});
+  std::vector<std::size_t> order(shard.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  double loss_sum = 0.0;
+  std::size_t batches = 0;
+  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+    rng.shuffle(order);
+    for (std::size_t start = 0; start < order.size();
+         start += cfg.batch_size) {
+      const std::size_t end = std::min(order.size(), start + cfg.batch_size);
+      const data::DataSet::Batch batch = shard.batch(
+          std::span<const std::size_t>(order.data() + start, end - start));
+      model.zero_grad();
+      const nn::Tensor logits = model.forward(batch.features, /*train=*/true);
+      const nn::LossResult lr = nn::softmax_cross_entropy(logits, batch.labels);
+      model.backward(lr.grad);
+      opt.step(model, nullptr);
+      loss_sum += lr.loss;
+      ++batches;
+    }
+  }
+  return batches > 0 ? loss_sum / static_cast<double>(batches) : 0.0;
+}
+
+// run_local_sgd reuses its permutation, batch and loss buffers and clears
+// gradients inside the optimizer step; it must still draw the SAME
+// permutations from the SAME rng stream as the allocating reference, so
+// training end-states match bit for bit.
 TEST(LocalSgd, ReusePathBitIdenticalToLegacy) {
   const auto ds = make_dataset(64);
   std::vector<std::size_t> idx(64);
@@ -89,25 +127,23 @@ TEST(LocalSgd, ReusePathBitIdenticalToLegacy) {
 
   algorithms::LocalTrainConfig cfg;
   cfg.epochs = 3;
-  cfg.batch_size = 8;
+  cfg.batch_size = 12;  // ragged last batch
   cfg.lr = 0.05f;
+  cfg.momentum = 0.5f;
 
-  nn::Model legacy_model = nn::make_mlp(8, 16, 4);
+  nn::Model reference_model = nn::make_mlp(8, 16, 4);
   runtime::Rng init(17);
-  legacy_model.init(init);
-  nn::Model reuse_model = legacy_model.clone();
+  reference_model.init(init);
+  nn::Model reuse_model = reference_model.clone();
 
-  algorithms::LocalTrainConfig legacy_cfg = cfg;
-  legacy_cfg.reuse_batch_buffers = false;
   runtime::Rng rng_a(21);
   runtime::Rng rng_b(21);
-  const double loss_a =
-      algorithms::run_local_sgd(legacy_model, shard, legacy_cfg, rng_a, nullptr);
+  const double loss_a = reference_local_sgd(reference_model, shard, cfg, rng_a);
   const double loss_b =
       algorithms::run_local_sgd(reuse_model, shard, cfg, rng_b, nullptr);
 
   EXPECT_EQ(loss_a, loss_b);
-  const std::vector<float> pa = legacy_model.flat_parameters();
+  const std::vector<float> pa = reference_model.flat_parameters();
   const std::vector<float> pb = reuse_model.flat_parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);

@@ -347,6 +347,24 @@ TEST(SweepCodec, RejectsWrongCodecVersion) {
   std::vector<std::byte> payload = encode_cell_result(sample_result());
   payload[0] ^= std::byte{0x40};  // corrupt the leading version word
   EXPECT_THROW((void)decode_cell_result(payload), std::runtime_error);
+
+  // A v2 cell (it still carried the three legacy toggle booleans) is
+  // rejected by its version word, and the message names both versions.
+  const std::vector<std::byte> current = encode_cell(SweepCell{});
+  nn::ByteWriter w;
+  w.u32(2);
+  std::vector<std::byte> v2 = w.take();
+  v2.insert(v2.end(), current.begin() + sizeof(std::uint32_t), current.end());
+  try {
+    (void)decode_cell(v2);
+    ADD_FAILURE() << "a version-2 payload decoded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("codec version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("expected " + std::to_string(kSweepCodecVersion)),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(SweepCodec, RejectsTruncatedPayload) {

@@ -1,6 +1,6 @@
 // Zero steady-state heap allocations in the minibatch pipeline: once its
 // caller-owned Batch and the thread-local SGD scratch are warm, gather_into
-// and run_local_sgd (reuse_batch_buffers) must not touch the allocator.
+// and run_local_sgd must not touch the allocator.
 //
 // Counting replaces the process-wide global operator new, so this file is
 // its own test binary: every allocation in the process goes through the

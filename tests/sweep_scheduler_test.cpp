@@ -155,9 +155,8 @@ TEST(RunSweep, BitIdenticalForAnyPoolSize) {
 }
 
 // run_sweep's execution strategy (one build per distinct spec, scheduled
-// cells, the zero-alloc minibatch pipeline) must reproduce the plain
-// per-cell loop — a fresh build_experiment and GroupFelTrainer per cell on
-// the allocating SGD path — bit for bit, for all six fig9 methods.
+// cells) must reproduce the plain per-cell loop — a fresh build_experiment
+// and GroupFelTrainer per cell — bit for bit, for all six fig9 methods.
 TEST(RunSweep, MatchesPerCellBuildAndTrain) {
   core::ExperimentSpec spec;
   spec.num_clients = 24;
@@ -196,10 +195,9 @@ TEST(RunSweep, MatchesPerCellBuildAndTrain) {
   core::SweepRunResult per_cell;
   for (const core::SweepCell& cell : cells) {
     const core::Experiment exp = core::build_experiment(cell.spec);
-    core::GroupFelConfig cfg = cell.config;
-    cfg.local.reuse_batch_buffers = false;
     core::GroupFelTrainer trainer(
-        exp.topology, cfg, core::build_cost_model(cell.task, cell.op), &pool);
+        exp.topology, cell.config, core::build_cost_model(cell.task, cell.op),
+        &pool);
     core::SweepCellResult result;
     result.label = cell.label;
     result.result = trainer.train(cell.cost_budget);

@@ -1,13 +1,15 @@
-// Satellite of the hot-path overhaul: the full Algorithm 1 loop must be
-// bit-identical across pool sizes and across the legacy
-// (clone-per-client, serial copy-chain aggregation) and optimized
-// (replica-cache, in-place exchange, fixed-shape parallel reduction)
-// paths. Any divergence here means the "performance" change silently
-// altered simulation semantics.
+// Satellite of the hot-path overhaul: the full Algorithm 1 loop (replica
+// cache, in-place parameter exchange, fixed-shape parallel reduction) must
+// be bit-identical across pool sizes, including with FedCLAR clustering,
+// dropout, FLAME and real secure aggregation, and a reused replica must
+// train like a fresh clone. Any divergence here means a "performance"
+// change silently altered simulation semantics.
 #include <gtest/gtest.h>
 
+#include "algorithms/fedprox.hpp"
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
+#include "runtime/replica_cache.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace groupfel::core {
@@ -66,48 +68,38 @@ void expect_identical(const TrainResult& a, const TrainResult& b) {
   }
 }
 
-TEST(TrainerDeterminism, BitIdenticalAcrossPoolSizes) {
-  const Experiment exp = build_experiment(tiny_spec());
-  const GroupFelConfig cfg = tiny_cfg();
+void expect_identical_across_pools(const Experiment& exp,
+                                   const GroupFelConfig& cfg) {
   const TrainResult serial = run_with_pool(exp, cfg, 0);
-  const TrainResult two = run_with_pool(exp, cfg, 2);
-  const TrainResult many = run_with_pool(exp, cfg, 24);
-  expect_identical(serial, two);
-  expect_identical(serial, many);
+  expect_identical(serial, run_with_pool(exp, cfg, 2));
+  expect_identical(serial, run_with_pool(exp, cfg, 24));
 }
 
+TEST(TrainerDeterminism, BitIdenticalAcrossPoolSizes) {
+  const Experiment exp = build_experiment(tiny_spec());
+  expect_identical_across_pools(exp, tiny_cfg());
+}
+
+// FedCLAR's clustering probe trains every client on its thread's replica
+// (it once cloned per client); the clusters and the per-cluster models that
+// follow must not depend on which thread probed which client.
 TEST(TrainerDeterminism, LegacyAndOptimizedPathsAgree) {
   const Experiment exp = build_experiment(tiny_spec());
-  const GroupFelConfig optimized = tiny_cfg();
-  ASSERT_TRUE(optimized.reuse_model_replicas);
-  ASSERT_TRUE(optimized.parallel_aggregation);
-  GroupFelConfig legacy = optimized;
-  legacy.reuse_model_replicas = false;
-  legacy.parallel_aggregation = false;
-  // All four flag combinations run the same math: {replica cache, in-place
-  // exchange} and {serial copy-chain, tree reduction} must agree bitwise.
-  const TrainResult base = run_with_pool(exp, legacy, 2);
-  for (const bool reuse : {false, true}) {
-    for (const bool par_agg : {false, true}) {
-      GroupFelConfig cfg = optimized;
-      cfg.reuse_model_replicas = reuse;
-      cfg.parallel_aggregation = par_agg;
-      expect_identical(base, run_with_pool(exp, cfg, 2));
-    }
-  }
+  GroupFelConfig cfg = tiny_cfg();
+  apply_method(Method::kFedClar, cfg);
+  cfg.global_rounds = 4;
+  cfg.fedclar.cluster_round = 2;
+  expect_identical_across_pools(exp, cfg);
 }
 
 TEST(TrainerDeterminism, DropoutPathsAgreeAndLossesAreFresh) {
   const Experiment exp = build_experiment(tiny_spec());
   GroupFelConfig cfg = tiny_cfg();
   cfg.client_dropout_rate = 0.3;
-  GroupFelConfig legacy = cfg;
-  legacy.reuse_model_replicas = false;
-  legacy.parallel_aggregation = false;
   // Dropout exercises the survivor renormalization plus the stale-loss
   // zeroing (a member dropped in round k must not resubmit its round k-1
-  // loss) on both paths.
-  expect_identical(run_with_pool(exp, legacy, 0), run_with_pool(exp, cfg, 2));
+  // loss) at every pool size.
+  expect_identical_across_pools(exp, cfg);
 }
 
 TEST(TrainerDeterminism, FlameDefensePathsAgree) {
@@ -115,10 +107,7 @@ TEST(TrainerDeterminism, FlameDefensePathsAgree) {
   GroupFelConfig cfg = tiny_cfg();
   cfg.global_rounds = 2;
   cfg.backdoor.defense = true;  // in-place update building + buffer lending
-  GroupFelConfig legacy = cfg;
-  legacy.reuse_model_replicas = false;
-  legacy.parallel_aggregation = false;
-  expect_identical(run_with_pool(exp, legacy, 2), run_with_pool(exp, cfg, 2));
+  expect_identical_across_pools(exp, cfg);
 }
 
 TEST(TrainerDeterminism, SecAggInPlaceScalingAgrees) {
@@ -126,11 +115,8 @@ TEST(TrainerDeterminism, SecAggInPlaceScalingAgrees) {
   GroupFelConfig cfg = tiny_cfg();
   cfg.global_rounds = 1;
   cfg.sampled_groups = 2;
-  cfg.use_real_secagg = true;  // scale-in-place vs scaled-copy inputs
-  GroupFelConfig legacy = cfg;
-  legacy.reuse_model_replicas = false;
-  legacy.parallel_aggregation = false;
-  expect_identical(run_with_pool(exp, legacy, 0), run_with_pool(exp, cfg, 2));
+  cfg.use_real_secagg = true;  // members scale their own buffers in place
+  expect_identical_across_pools(exp, cfg);
 }
 
 TEST(TrainerDeterminism, SecAggDropoutParallelMaskingBitIdentical) {
@@ -162,6 +148,59 @@ TEST(TrainerDeterminism, SecAggDropoutParallelMaskingBitIdentical) {
   EXPECT_TRUE(aggregated);
   expect_identical(serial, run_with_pool(exp, cfg, 2));
   expect_identical(serial, run_with_pool(exp, cfg, 24));
+}
+
+// Every client trains on its thread's persistent replica, so a replica that
+// already trained one client must train the next exactly as a fresh clone
+// of the prototype would: no gradient, activation or workspace state may
+// leak from one client into the next.
+TEST(TrainerDeterminism, ReusedReplicaTrainsLikeFreshClone) {
+  for (const ModelKind kind : {ModelKind::kMlp, ModelKind::kCnn5}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    ExperimentSpec spec = tiny_spec();
+    spec.model = kind;
+    const Experiment exp = build_experiment(spec);
+    const data::ClientDataStore& clients = exp.topology.clients;
+    nn::Model prototype = exp.topology.model_factory();
+    runtime::Rng init(5);
+    prototype.init(init);
+    const std::vector<float> start = prototype.flat_parameters();
+
+    // Client B holds a different number of samples than A, so B's ragged
+    // last batch is shaped differently from anything A left behind.
+    const std::size_t a = 0;
+    std::size_t b = 1;
+    while (clients.data_count(b) == clients.data_count(a)) ++b;
+
+    algorithms::LocalTrainConfig cfg;
+    cfg.epochs = 2;
+    cfg.batch_size = 5;
+    cfg.lr = 0.05f;
+    cfg.momentum = 0.9f;
+    cfg.weight_decay = 1e-4f;
+    algorithms::FedProxRule rule(0.1f);
+
+    runtime::ModelReplicaCache<nn::Model> cache(prototype);
+    nn::Model& replica = cache.local();
+    runtime::Rng rng_a(11);
+    (void)rule.train_client(replica, clients.client(a), start, a, cfg, rng_a);
+    replica.set_flat_parameters(start);
+    runtime::Rng rng_reused(12);
+    const double loss_reused = rule.train_client(replica, clients.client(b),
+                                                 start, b, cfg, rng_reused);
+
+    nn::Model fresh = prototype.clone();
+    runtime::Rng rng_fresh(12);
+    const double loss_fresh =
+        rule.train_client(fresh, clients.client(b), start, b, cfg, rng_fresh);
+
+    EXPECT_EQ(loss_reused, loss_fresh);
+    const std::vector<float> pr = replica.flat_parameters();
+    const std::vector<float> pf = fresh.flat_parameters();
+    ASSERT_EQ(pr.size(), pf.size());
+    for (std::size_t i = 0; i < pr.size(); ++i)
+      ASSERT_EQ(pr[i], pf[i]) << "param " << i;
+  }
 }
 
 TEST(TrainerDeterminism, SteadyStateAddsNoModelConstructions) {

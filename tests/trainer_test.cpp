@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/experiment.hpp"
 
@@ -291,6 +292,40 @@ TEST(Trainer, RejectsInvalidTopology) {
   no_factory.model_factory = nullptr;
   EXPECT_THROW(GroupFelTrainer(no_factory, cfg, tiny_cost()),
                std::invalid_argument);
+}
+
+TEST(Trainer, RejectsInvalidConfig) {
+  // Each of these would hang (batch size 0 never advances), divide by zero
+  // (eval_every 0) or silently misread the dropout rate (NaN or outside
+  // [0, 1]); the constructor names the field instead.
+  const Experiment exp = build_experiment(tiny_spec());
+  const auto expect_rejected = [&](const GroupFelConfig& cfg,
+                                   const std::string& field) {
+    try {
+      GroupFelTrainer trainer(exp.topology, cfg, tiny_cost());
+      ADD_FAILURE() << field << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  GroupFelConfig cfg = tiny_cfg();
+  cfg.local.batch_size = 0;
+  expect_rejected(cfg, "local.batch_size");
+  cfg = tiny_cfg();
+  cfg.eval_every = 0;
+  expect_rejected(cfg, "eval_every");
+  for (const double rate : {std::nan(""), -0.1, 1.5}) {
+    cfg = tiny_cfg();
+    cfg.client_dropout_rate = rate;
+    expect_rejected(cfg, "client_dropout_rate");
+  }
+  // The ends of the range stay valid.
+  for (const double rate : {0.0, 1.0}) {
+    cfg = tiny_cfg();
+    cfg.client_dropout_rate = rate;
+    EXPECT_NO_THROW(GroupFelTrainer(exp.topology, cfg, tiny_cost()));
+  }
 }
 
 TEST(Trainer, GroupSummaryIsConsistent) {
