@@ -60,8 +60,11 @@ GroupFelTrainer::GroupFelTrainer(FederationTopology topology,
     throw std::invalid_argument("GroupFelTrainer: no edge servers");
 
   label_matrix_ = topo_.clients.label_matrix(pool_);
+  // The edge servers take the client lists over: one copy of the edge
+  // assignment, not two.
   for (std::size_t e = 0; e < topo_.edges.size(); ++e)
-    edge_servers_.emplace_back(e, topo_.edges[e]);
+    edge_servers_.emplace_back(e, std::move(topo_.edges[e]));
+  topo_.edges.clear();
 
   rule_ = make_rule(cfg_, topo_.clients.num_clients());
   prototype_ = topo_.model_factory();

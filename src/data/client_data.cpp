@@ -14,7 +14,8 @@ ClientDataStore ClientDataStore::resident(std::vector<ClientShard> shards,
                                           ClientPopulation population) {
   ClientDataStore store;
   store.shards_ = std::move(shards);
-  store.population_.emplace(std::move(population));
+  store.population_ =
+      std::make_shared<const ClientPopulation>(std::move(population));
   return store;
 }
 
@@ -27,12 +28,15 @@ ClientDataStore ClientDataStore::lazy(
 
 const ClientPopulation* ClientDataStore::population() const noexcept {
   if (lazy_) return &lazy_->population();
-  return population_ ? &*population_ : nullptr;
+  return population_.get();
 }
 
-LabelMatrix ClientDataStore::label_matrix(runtime::ThreadPool* pool) const {
-  if (const ClientPopulation* pop = population())
-    return LabelMatrix::from_population(*pop, pool);
+LabelMatrix ClientDataStore::label_matrix(
+    runtime::ThreadPool* /*pool*/) const {
+  if (lazy_)
+    return LabelMatrix::from_population(
+        std::shared_ptr<const ClientPopulation>(lazy_, &lazy_->population()));
+  if (population_) return LabelMatrix::from_population(population_);
   return LabelMatrix::from_shards(shards_);
 }
 

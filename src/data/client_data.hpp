@@ -13,7 +13,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -109,9 +108,11 @@ class ClientDataStore {
   /// Descriptor table when this store was built from one (either arm).
   [[nodiscard]] const ClientPopulation* population() const noexcept;
 
-  /// The §5.1 label matrix L for grouping: population histograms when a
-  /// descriptor table is present, observed shard labels otherwise. `pool`
-  /// parallelizes the descriptor-table copy (bit-identical for any pool).
+  /// The §5.1 label matrix L for grouping. With a descriptor table it IS
+  /// the table: the matrix aliases the population's counts and shares its
+  /// ownership, so it allocates nothing and outlives this store. Without
+  /// one it is built from the observed shard labels. Nothing here runs in
+  /// parallel; `pool` is accepted so callers need not special-case it.
   [[nodiscard]] LabelMatrix label_matrix(
       runtime::ThreadPool* pool = nullptr) const;
 
@@ -124,7 +125,7 @@ class ClientDataStore {
  private:
   std::vector<ClientShard> shards_;
   std::shared_ptr<const LazyShardSource> lazy_;
-  std::optional<ClientPopulation> population_;
+  std::shared_ptr<const ClientPopulation> population_;  ///< resident arm
 };
 
 }  // namespace groupfel::data

@@ -22,9 +22,10 @@
 namespace groupfel::data {
 
 /// SoA descriptor table: one row of label counts, one size, and one seed per
-/// client. Counts are 32-bit (a client holds at most size_max <= 2^32
-/// samples); the flat layout avoids the per-client heap vector that makes a
-/// million `std::vector` rows cost an extra allocation + 24 bytes each.
+/// client. Counts are 32-bit: validate_partition_spec bounds size_max, and
+/// so every count, by 2^32 - 1. The flat layout avoids the per-client heap
+/// vector that makes a million `std::vector` rows cost an extra allocation
+/// + 24 bytes each.
 class ClientPopulation {
  public:
   using Count = std::uint32_t;
@@ -43,6 +44,10 @@ class ClientPopulation {
   }
   [[nodiscard]] std::span<Count> label_counts_mutable(std::size_t c) {
     return {counts_.data() + c * classes_, classes_};
+  }
+  /// Every client's histogram, row-major: the label matrix L itself.
+  [[nodiscard]] std::span<const Count> flat_counts() const noexcept {
+    return counts_;
   }
 
   /// n_c: total samples on client `c`.

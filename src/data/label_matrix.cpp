@@ -5,68 +5,59 @@
 
 namespace groupfel::data {
 
-LabelMatrix::LabelMatrix(std::vector<std::vector<std::size_t>> rows,
-                         std::size_t num_labels)
-    : labels_(num_labels) {
-  flat_.reserve(rows.size() * num_labels);
+LabelMatrix::LabelMatrix(const std::vector<std::vector<Count>>& rows,
+                         std::size_t num_labels) {
+  std::vector<Count> flat;
+  flat.reserve(rows.size() * num_labels);
   for (const auto& r : rows) {
-    if (r.size() != labels_)
+    if (r.size() != num_labels)
       throw std::invalid_argument("LabelMatrix: ragged rows");
-    flat_.insert(flat_.end(), r.begin(), r.end());
+    flat.insert(flat.end(), r.begin(), r.end());
   }
+  *this = from_flat(std::move(flat), num_labels);
 }
 
-LabelMatrix LabelMatrix::from_flat(std::vector<std::size_t> flat,
+LabelMatrix LabelMatrix::from_flat(std::vector<Count> flat,
                                    std::size_t num_labels) {
   if (num_labels == 0 ? !flat.empty() : flat.size() % num_labels != 0)
     throw std::invalid_argument("LabelMatrix: flat size not row-divisible");
   LabelMatrix m;
-  m.flat_ = std::move(flat);
+  m.clients_ = num_labels == 0 ? 0 : flat.size() / num_labels;
   m.labels_ = num_labels;
+  auto owned = std::make_shared<const std::vector<Count>>(std::move(flat));
+  m.table_ = std::shared_ptr<const Count>(owned, owned->data());
   return m;
 }
 
 LabelMatrix LabelMatrix::from_shards(std::span<const ClientShard> shards) {
   if (shards.empty()) return {};
   const std::size_t m = shards[0].dataset().num_classes();
-  std::vector<std::size_t> flat;
+  std::vector<Count> flat;
   flat.reserve(shards.size() * m);
-  for (const auto& shard : shards) {
-    const std::vector<std::size_t> counts = shard.label_counts();
-    flat.insert(flat.end(), counts.begin(), counts.end());
-  }
+  // A shard's count is at most its size, and partitions bound sizes by
+  // size_max < 2^32 (validate_partition_spec), so every count fits.
+  for (const auto& shard : shards)
+    for (const std::size_t c : shard.label_counts())
+      flat.push_back(static_cast<Count>(c));
   return from_flat(std::move(flat), m);
 }
 
-LabelMatrix LabelMatrix::from_population(const ClientPopulation& population,
-                                         runtime::ThreadPool* pool) {
-  const std::size_t m = population.num_classes();
-  const std::size_t n = population.num_clients();
-  std::vector<std::size_t> flat(n * m);
-  // Parallel blocks of whole rows: every row is written exactly once by
-  // exactly one block, so the decomposition cannot affect the result.
-  constexpr std::size_t kRowBlock = 4096;
-  const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
-  const auto copy_block = [&](std::size_t bi) {
-    const std::size_t c0 = bi * kRowBlock;
-    const std::size_t c1 = std::min(n, c0 + kRowBlock);
-    for (std::size_t c = c0; c < c1; ++c) {
-      const auto row = population.label_counts(c);
-      for (std::size_t j = 0; j < m; ++j) flat[c * m + j] = row[j];
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 && blocks > 1) {
-    pool->parallel_for(blocks, copy_block);
-  } else {
-    for (std::size_t bi = 0; bi < blocks; ++bi) copy_block(bi);
-  }
-  return from_flat(std::move(flat), m);
+LabelMatrix LabelMatrix::from_population(
+    std::shared_ptr<const ClientPopulation> population) {
+  if (!population)
+    throw std::invalid_argument("LabelMatrix::from_population: no population");
+  LabelMatrix m;
+  m.clients_ = population->num_clients();
+  m.labels_ = population->num_classes();
+  const Count* counts = population->flat_counts().data();
+  m.table_ = std::shared_ptr<const Count>(std::move(population), counts);
+  return m;
 }
 
-std::span<const std::size_t> LabelMatrix::row(std::size_t client) const {
-  if (client >= num_clients())
+std::span<const LabelMatrix::Count> LabelMatrix::row(std::size_t client) const {
+  if (client >= clients_)
     throw std::out_of_range("LabelMatrix::row: bad client");
-  return {flat_.data() + client * labels_, labels_};
+  return {table_.get() + client * labels_, labels_};
 }
 
 std::size_t LabelMatrix::client_total(std::size_t client) const {
@@ -76,8 +67,7 @@ std::size_t LabelMatrix::client_total(std::size_t client) const {
 
 std::vector<std::size_t> LabelMatrix::global_counts() const {
   std::vector<std::size_t> sums(labels_, 0);
-  const std::size_t n = num_clients();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < clients_; ++i) {
     const auto r = row(i);
     for (std::size_t j = 0; j < labels_; ++j) sums[j] += r[j];
   }
@@ -86,7 +76,7 @@ std::vector<std::size_t> LabelMatrix::global_counts() const {
 
 LabelMatrix LabelMatrix::submatrix(
     std::span<const std::size_t> clients) const {
-  std::vector<std::size_t> flat;
+  std::vector<Count> flat;
   flat.reserve(clients.size() * labels_);
   for (auto c : clients) {
     const auto r = row(c);

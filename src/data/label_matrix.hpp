@@ -3,12 +3,16 @@
 // paper stresses that CoV needs "the data label distributions from users...
 // without any information of their local data, model, nor gradient".
 //
-// Storage is one flat row-major array: a million-client matrix is a single
-// allocation instead of a million row vectors (24 bytes + one heap block
-// each), which is what lets fleet-scale grouping stream over L in cache
-// order.
+// Storage is one flat row-major table of 32-bit counts (the descriptor
+// table's ClientPopulation::Count) under shared ownership. A matrix built
+// from a descriptor table IS that table: it aliases the population's counts
+// and keeps the population alive, so a million-client L costs no copy.
+// Matrices built from shards, flat counts, rows or a submatrix own their
+// table. Copies share the table either way; it is never written after
+// construction.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -19,34 +23,32 @@ namespace groupfel::data {
 
 class LabelMatrix {
  public:
+  using Count = ClientPopulation::Count;
+
   LabelMatrix() = default;
 
   /// rows[i] is client i's per-label sample count.
-  LabelMatrix(std::vector<std::vector<std::size_t>> rows,
+  LabelMatrix(const std::vector<std::vector<Count>>& rows,
               std::size_t num_labels);
 
   /// Flat row-major counts: flat[i * num_labels + j] = L[i][j]. A named
   /// factory (not a constructor) so nested-brace row literals in the ctor
   /// above stay unambiguous.
-  static LabelMatrix from_flat(std::vector<std::size_t> flat,
-                               std::size_t num_labels);
+  static LabelMatrix from_flat(std::vector<Count> flat, std::size_t num_labels);
 
   /// Builds the matrix from client shards (observed labels).
   static LabelMatrix from_shards(std::span<const ClientShard> shards);
 
-  /// Builds the matrix from a descriptor table (intended labels) — no
-  /// sample data needed, O(clients * labels) straight copy. `pool` copies
-  /// row blocks in parallel; rows are disjoint, so the result is
-  /// bit-identical for any pool size including nullptr (serial).
-  static LabelMatrix from_population(const ClientPopulation& population,
-                                     runtime::ThreadPool* pool = nullptr);
+  /// The descriptor table's histograms (intended labels) as L, without a
+  /// copy: rows alias `population`'s counts, and the matrix shares its
+  /// ownership. A caller holding a temporary wraps it with make_shared.
+  static LabelMatrix from_population(
+      std::shared_ptr<const ClientPopulation> population);
 
-  [[nodiscard]] std::size_t num_clients() const noexcept {
-    return labels_ == 0 ? 0 : flat_.size() / labels_;
-  }
+  [[nodiscard]] std::size_t num_clients() const noexcept { return clients_; }
   [[nodiscard]] std::size_t num_labels() const noexcept { return labels_; }
 
-  [[nodiscard]] std::span<const std::size_t> row(std::size_t client) const;
+  [[nodiscard]] std::span<const Count> row(std::size_t client) const;
 
   /// Total samples on a client.
   [[nodiscard]] std::size_t client_total(std::size_t client) const;
@@ -58,7 +60,8 @@ class LabelMatrix {
   [[nodiscard]] LabelMatrix submatrix(std::span<const std::size_t> clients) const;
 
  private:
-  std::vector<std::size_t> flat_;  ///< [num_clients * num_labels], row-major
+  std::shared_ptr<const Count> table_;  ///< [clients_ * labels_], row-major
+  std::size_t clients_ = 0;
   std::size_t labels_ = 0;
 };
 

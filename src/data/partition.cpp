@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +16,10 @@ void validate_partition_spec(const PartitionSpec& spec, const char* who) {
   if (spec.num_clients == 0) fail("zero clients");
   if (spec.size_min == 0 || spec.size_min > spec.size_max)
     fail("bad size bounds");
+  // Counts are stored in 32 bits (ClientPopulation::Count), and the
+  // partitioners clamp sizes as long long.
+  if (spec.size_max > std::numeric_limits<std::uint32_t>::max())
+    fail("size_max must be < 2^32");
   if (!(std::isfinite(spec.alpha) && spec.alpha > 0.0))
     fail("alpha must be finite and > 0");
   if (!std::isfinite(spec.size_mean)) fail("size_mean must be finite");

@@ -22,8 +22,8 @@ struct PartitionSpec {
 };
 
 /// Throws std::invalid_argument, prefixed with `who` and naming the field,
-/// unless the spec has clients, 0 < size_min <= size_max, a finite alpha
-/// > 0, a finite size_mean and a finite size_std >= 0. Both partitioners
+/// unless the spec has clients, 0 < size_min <= size_max < 2^32, a finite
+/// alpha > 0, a finite size_mean and a finite size_std >= 0. Both partitioners
 /// call it first: a NaN or infinite alpha would otherwise yield NaN
 /// Dirichlet proportions.
 void validate_partition_spec(const PartitionSpec& spec, const char* who);

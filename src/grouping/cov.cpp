@@ -62,7 +62,7 @@ IncrementalCov::IncrementalCov(std::size_t num_labels)
   if (num_labels == 0) throw std::invalid_argument("IncrementalCov: no labels");
 }
 
-void IncrementalCov::add(std::span<const std::size_t> client_counts) {
+void IncrementalCov::add(Row client_counts) {
   if (client_counts.size() != counts_.size())
     throw std::invalid_argument("IncrementalCov::add: label count mismatch");
   for (std::size_t j = 0; j < counts_.size(); ++j) {
@@ -71,7 +71,7 @@ void IncrementalCov::add(std::span<const std::size_t> client_counts) {
   }
 }
 
-void IncrementalCov::remove(std::span<const std::size_t> client_counts) {
+void IncrementalCov::remove(Row client_counts) {
   if (client_counts.size() != counts_.size())
     throw std::invalid_argument("IncrementalCov::remove: label count mismatch");
   for (std::size_t j = 0; j < counts_.size(); ++j) {
@@ -84,8 +84,7 @@ void IncrementalCov::remove(std::span<const std::size_t> client_counts) {
 
 double IncrementalCov::value() const { return cov(counts_); }
 
-double IncrementalCov::value_with(
-    std::span<const std::size_t> client_counts) const {
+double IncrementalCov::value_with(Row client_counts) const {
   if (client_counts.size() != counts_.size())
     throw std::invalid_argument("IncrementalCov::value_with: size mismatch");
   const double m = static_cast<double>(counts_.size());

@@ -37,19 +37,22 @@ namespace groupfel::grouping {
 
 /// Incremental CoV evaluation for greedy grouping: maintains the group's
 /// running label counts so "CoV if client c joined" is O(m) instead of
-/// O(|g| * m).
+/// O(|g| * m). Client rows are the label matrix's 32-bit counts; the group's
+/// counts and every sum are size_t.
 class IncrementalCov {
  public:
+  using Row = std::span<const data::LabelMatrix::Count>;
+
   explicit IncrementalCov(std::size_t num_labels);
 
-  void add(std::span<const std::size_t> client_counts);
-  void remove(std::span<const std::size_t> client_counts);
+  void add(Row client_counts);
+  void remove(Row client_counts);
 
   /// CoV of the current group.
   [[nodiscard]] double value() const;
 
   /// CoV if `client_counts` were added (group unchanged).
-  [[nodiscard]] double value_with(std::span<const std::size_t> client_counts) const;
+  [[nodiscard]] double value_with(Row client_counts) const;
 
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
   [[nodiscard]] std::span<const std::size_t> counts() const noexcept {

@@ -9,10 +9,22 @@ namespace groupfel::grouping {
 
 namespace {
 
-typedef double vec_f64
-    __attribute__((vector_size(kCovLanes * sizeof(double))));
-typedef std::int64_t vec_i64
-    __attribute__((vector_size(kCovLanes * sizeof(std::int64_t))));
+// One register of candidates per step. GCC lowers the compares of a
+// generic vector wider than the target's registers to scalar code, so the
+// width follows the ISA this TU is built for: 8 lanes on AVX-512, 4 on AVX,
+// 2 on baseline SSE2. The slot stride stays a multiple of kCovLanes, and so
+// of every width.
+#if defined(__AVX512F__)
+constexpr std::size_t kVecBytes = 64;
+#elif defined(__AVX__)
+constexpr std::size_t kVecBytes = 32;
+#else
+constexpr std::size_t kVecBytes = 16;
+#endif
+constexpr std::size_t kWidth = kVecBytes / sizeof(double);
+static_assert(kCovLanes % kWidth == 0);
+typedef double vec_f64 __attribute__((vector_size(kVecBytes)));
+typedef std::int64_t vec_i64 __attribute__((vector_size(kVecBytes)));
 
 }  // namespace
 
@@ -50,9 +62,9 @@ CovCandidateLanes::Best CovCandidateLanes::argmin(
   vec_f64 best = unscored;
   vec_i64 best_slot{};
   vec_i64 slot{};
-  for (std::size_t l = 0; l < kCovLanes; ++l)
+  for (std::size_t l = 0; l < kWidth; ++l)
     slot[l] = static_cast<std::int64_t>(l);
-  for (std::size_t s0 = 0; s0 < slots_; s0 += kCovLanes) {
+  for (std::size_t s0 = 0; s0 < slots_; s0 += kWidth) {
     vec_f64 total{};
     std::memcpy(&total, &totals_[s0], sizeof total);
     total += static_cast<double>(group_total);
@@ -66,7 +78,7 @@ CovCandidateLanes::Best CovCandidateLanes::argmin(
     }
     const vec_f64 q = s / m;
     vec_f64 cov{};
-    for (std::size_t l = 0; l < kCovLanes; ++l) cov[l] = std::sqrt(q[l]);
+    for (std::size_t l = 0; l < kWidth; ++l) cov[l] = std::sqrt(q[l]);
     cov /= mu;
     cov = total == 0.0 ? vec_f64{} : cov;  // the scalar returns 0 first
     vec_i64 live{};
@@ -75,13 +87,13 @@ CovCandidateLanes::Best CovCandidateLanes::argmin(
     const vec_i64 lower = cov < best;  // strict: a lane keeps its first min
     best = lower ? cov : best;
     best_slot = lower ? slot : best_slot;
-    slot += static_cast<std::int64_t>(kCovLanes);
+    slot += static_cast<std::int64_t>(kWidth);
   }
 
   // Lowest value across lanes; among equal values the lowest slot, which is
   // the first minimum in slot order.
   Best out{0, inf};
-  for (std::size_t l = 0; l < kCovLanes; ++l) {
+  for (std::size_t l = 0; l < kWidth; ++l) {
     const auto lane_slot = static_cast<std::size_t>(best_slot[l]);
     if (best[l] < out.cov || (best[l] == out.cov && lane_slot < out.slot)) {
       out.cov = best[l];

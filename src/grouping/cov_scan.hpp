@@ -3,7 +3,8 @@
 // The greedy evaluates CoV(g ∪ c) for every live candidate c once per
 // admission. CovCandidateLanes keeps a window-local structure-of-arrays copy
 // of the candidates' label counts, one double per count (exact for counts
-// below 2^53), and scores eight candidates per step, one per vector lane.
+// below 2^53), and scores one register of candidates per step, one per
+// vector lane: 8 on AVX-512, 4 on AVX, 2 on SSE2.
 //
 // Byte-identity contract: every lane does IncrementalCov::value_with's
 // arithmetic in its order — T = group total + candidate total, mu = T / m,
@@ -12,7 +13,8 @@
 // in doubles, and vector sqrt and divide are correctly rounded, so each
 // lane's value equals the scalar one bit for bit (the TU builds with
 // -ffp-contract=off so that s + d * d is never fused). The argmin keeps the
-// FIRST minimum in slot order, like the scalar scan, so ties break the same.
+// FIRST minimum in slot order, like the scalar scan, so ties break the same
+// whatever the lane count.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +26,8 @@
 
 namespace groupfel::grouping {
 
-/// Candidates scored per lane batch.
+/// Slot padding: the stride is a multiple of the widest lane batch (8
+/// doubles, AVX-512), so every register width tiles it exactly.
 inline constexpr std::size_t kCovLanes = 8;
 
 /// Slot-aligned with a CandidatePool built from the same items: remove()

@@ -118,13 +118,13 @@ TEST(IncrementalCov, RemoveUndoesAdd) {
 
 TEST(IncrementalCov, RemoveUnderflowThrows) {
   IncrementalCov inc(2);
-  const std::vector<std::size_t> row{1, 1};
+  const std::vector<data::LabelMatrix::Count> row{1, 1};
   EXPECT_THROW(inc.remove(row), std::logic_error);
 }
 
 TEST(IncrementalCov, SizeMismatchThrows) {
   IncrementalCov inc(2);
-  const std::vector<std::size_t> row{1, 1, 1};
+  const std::vector<data::LabelMatrix::Count> row{1, 1, 1};
   EXPECT_THROW(inc.add(row), std::invalid_argument);
   EXPECT_THROW((void)inc.value_with(row), std::invalid_argument);
 }

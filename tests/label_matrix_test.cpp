@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/experiment.hpp"
 #include "data/synthetic.hpp"
 
 namespace groupfel::data {
@@ -61,6 +64,55 @@ TEST(LabelMatrix, FromShardsMatchesCounts) {
 TEST(LabelMatrix, EmptyShardsGiveEmptyMatrix) {
   const LabelMatrix m = LabelMatrix::from_shards({});
   EXPECT_EQ(m.num_clients(), 0u);
+}
+
+core::ExperimentSpec descriptor_spec(core::ClientStateMode mode) {
+  core::ExperimentSpec spec;
+  spec.num_clients = 300;
+  spec.size_mean = 30;
+  spec.size_std = 10;
+  spec.size_min = 10;
+  spec.size_max = 50;
+  spec.test_size = 32;
+  spec.mlp_hidden = 8;
+  spec.client_state = mode;
+  return spec;
+}
+
+constexpr core::ClientStateMode kDescriptorModes[] = {
+    core::ClientStateMode::kLazy, core::ClientStateMode::kDescriptorResident};
+
+TEST(LabelMatrix, AliasesTheDescriptorTable) {
+  for (const auto mode : kDescriptorModes) {
+    const core::Experiment exp =
+        core::build_experiment(descriptor_spec(mode));
+    const ClientPopulation* pop = exp.topology.clients.population();
+    ASSERT_NE(pop, nullptr);
+    const LabelMatrix m = exp.topology.clients.label_matrix();
+    ASSERT_EQ(m.num_clients(), pop->num_clients());
+    ASSERT_EQ(m.num_labels(), pop->num_classes());
+    for (std::size_t i = 0; i < m.num_clients(); ++i)
+      ASSERT_EQ(m.row(i).data(), pop->label_counts(i).data())
+          << "mode " << static_cast<int>(mode) << " client " << i;
+  }
+}
+
+TEST(LabelMatrix, OutlivesItsStoreAndExperiment) {
+  for (const auto mode : kDescriptorModes) {
+    LabelMatrix m;
+    std::vector<LabelMatrix::Count> want;
+    {
+      const core::Experiment exp =
+          core::build_experiment(descriptor_spec(mode));
+      m = exp.topology.clients.label_matrix();
+      const auto flat = exp.topology.clients.population()->flat_counts();
+      want.assign(flat.begin(), flat.end());
+    }
+    ASSERT_EQ(m.num_clients() * m.num_labels(), want.size());
+    for (std::size_t i = 0; i < m.num_clients(); ++i)
+      for (std::size_t j = 0; j < m.num_labels(); ++j)
+        ASSERT_EQ(m.row(i)[j], want[i * m.num_labels() + j]);
+  }
 }
 
 }  // namespace

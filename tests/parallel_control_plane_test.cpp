@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "core/edge_server.hpp"
+#include "data/client_data.hpp"
 #include "data/client_descriptor.hpp"
 #include "data/label_matrix.hpp"
 #include "grouping/grouping.hpp"
@@ -66,7 +68,28 @@ data::ClientPopulation make_population(std::size_t clients,
 
 /// Label matrix from a (serial) descriptor partition — the fleet-scale path.
 data::LabelMatrix make_matrix(std::size_t clients, std::uint64_t seed = 11) {
-  return data::LabelMatrix::from_population(make_population(clients, seed));
+  return data::LabelMatrix::from_population(
+      std::make_shared<const data::ClientPopulation>(
+          make_population(clients, seed)));
+}
+
+/// Counts spread over the whole 32-bit range: every row carries a count near
+/// 2^32 - 1, so any consumer that summed rows in 32 bits would wrap where
+/// the size_t references below do not. Group sums stay far below 2^53, so
+/// the lane scan's doubles are still exact.
+data::LabelMatrix wide_matrix(std::size_t clients, std::uint64_t seed) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  runtime::Rng rng(seed);
+  std::vector<std::vector<data::LabelMatrix::Count>> rows(
+      clients, std::vector<data::LabelMatrix::Count>(10, 0));
+  for (auto& row : rows) {
+    const std::size_t big = rng.next_below(10);
+    row[big] =
+        static_cast<data::LabelMatrix::Count>(kMax - rng.next_below(1000));
+    row[(big + 1 + rng.next_below(9)) % 10] =
+        static_cast<data::LabelMatrix::Count>(rng.next_below(1u << 20));
+  }
+  return data::LabelMatrix(rows, 10);
 }
 
 bool same_population(const data::ClientPopulation& a,
@@ -78,17 +101,6 @@ bool same_population(const data::ClientPopulation& a,
     if (a.data_count(c) != b.data_count(c) || a.seed(c) != b.seed(c))
       return false;
     const auto ra = a.label_counts(c), rb = b.label_counts(c);
-    for (std::size_t j = 0; j < ra.size(); ++j)
-      if (ra[j] != rb[j]) return false;
-  }
-  return true;
-}
-
-bool same_matrix(const data::LabelMatrix& a, const data::LabelMatrix& b) {
-  if (a.num_clients() != b.num_clients() || a.num_labels() != b.num_labels())
-    return false;
-  for (std::size_t c = 0; c < a.num_clients(); ++c) {
-    const auto ra = a.row(c), rb = b.row(c);
     for (std::size_t j = 0; j < ra.size(); ++j)
       if (ra[j] != rb[j]) return false;
   }
@@ -154,54 +166,65 @@ TEST(ParallelPartition, MatchesPerClientReference) {
 // ---- Stage 2: label matrix ------------------------------------------------
 
 TEST(ParallelLabelMatrix, BitIdenticalAcrossPools) {
-  // 9000 clients = 3 row blocks of 4096.
+  // The store's matrix is the descriptor table for any pool: every row is
+  // the population's own histogram, at the population's own address.
   const data::ClientPopulation pop = make_population(9000);
-  const data::LabelMatrix serial = data::LabelMatrix::from_population(pop);
+  const data::ClientDataStore store =
+      data::ClientDataStore::resident({}, pop);
+  const data::ClientPopulation& table = *store.population();
   for_each_pool([&](runtime::ThreadPool* pool) {
-    EXPECT_TRUE(
-        same_matrix(serial, data::LabelMatrix::from_population(pop, pool)));
+    const data::LabelMatrix matrix = store.label_matrix(pool);
+    ASSERT_EQ(matrix.num_clients(), pop.num_clients());
+    ASSERT_EQ(matrix.num_labels(), pop.num_classes());
+    for (std::size_t c = 0; c < pop.num_clients(); ++c)
+      ASSERT_EQ(matrix.row(c).data(), table.label_counts(c).data());
   });
 }
 
 // ---- Stage 3: grouping ----------------------------------------------------
 
 // Both window modes: the classic window chain must ignore the pool, and
-// parallel_windows must be bit-identical for any pool.
+// parallel_windows must be bit-identical for any pool. Each test runs a
+// Dirichlet matrix and one with 32-bit-wide counts.
 TEST(ParallelWindows, CovBitIdenticalAcrossPools) {
-  const data::LabelMatrix matrix = make_matrix(600);
-  for (const bool parallel_windows : {false, true}) {
-    grouping::GroupingParams params;
-    params.min_group_size = 8;
-    params.greedy_window = 64;
-    params.parallel_windows = parallel_windows;
-    runtime::Rng base(5);
-    const grouping::Grouping serial =
-        grouping::cov_grouping(matrix, params, base, nullptr);
-    grouping::validate_partition(serial, matrix.num_clients());
-    for_each_pool([&](runtime::ThreadPool* pool) {
-      runtime::Rng rng(5);
-      EXPECT_EQ(serial, grouping::cov_grouping(matrix, params, rng, pool))
-          << "parallel_windows = " << parallel_windows;
-    });
+  for (const data::LabelMatrix& matrix :
+       {make_matrix(600), wide_matrix(600, 31)}) {
+    for (const bool parallel_windows : {false, true}) {
+      grouping::GroupingParams params;
+      params.min_group_size = 8;
+      params.greedy_window = 64;
+      params.parallel_windows = parallel_windows;
+      runtime::Rng base(5);
+      const grouping::Grouping serial =
+          grouping::cov_grouping(matrix, params, base, nullptr);
+      grouping::validate_partition(serial, matrix.num_clients());
+      for_each_pool([&](runtime::ThreadPool* pool) {
+        runtime::Rng rng(5);
+        EXPECT_EQ(serial, grouping::cov_grouping(matrix, params, rng, pool))
+            << "parallel_windows = " << parallel_windows;
+      });
+    }
   }
 }
 
 TEST(ParallelWindows, KldgBitIdenticalAcrossPools) {
-  const data::LabelMatrix matrix = make_matrix(300);
-  for (const bool parallel_windows : {false, true}) {
-    grouping::GroupingParams params;
-    params.min_group_size = 6;
-    params.greedy_window = 48;
-    params.parallel_windows = parallel_windows;
-    runtime::Rng base(9);
-    const grouping::Grouping serial =
-        grouping::kldg_grouping(matrix, params, base, nullptr);
-    grouping::validate_partition(serial, matrix.num_clients());
-    for_each_pool([&](runtime::ThreadPool* pool) {
-      runtime::Rng rng(9);
-      EXPECT_EQ(serial, grouping::kldg_grouping(matrix, params, rng, pool))
-          << "parallel_windows = " << parallel_windows;
-    });
+  for (const data::LabelMatrix& matrix :
+       {make_matrix(300), wide_matrix(300, 37)}) {
+    for (const bool parallel_windows : {false, true}) {
+      grouping::GroupingParams params;
+      params.min_group_size = 6;
+      params.greedy_window = 48;
+      params.parallel_windows = parallel_windows;
+      runtime::Rng base(9);
+      const grouping::Grouping serial =
+          grouping::kldg_grouping(matrix, params, base, nullptr);
+      grouping::validate_partition(serial, matrix.num_clients());
+      for_each_pool([&](runtime::ThreadPool* pool) {
+        runtime::Rng rng(9);
+        EXPECT_EQ(serial, grouping::kldg_grouping(matrix, params, rng, pool))
+            << "parallel_windows = " << parallel_windows;
+      });
+    }
   }
 }
 
@@ -318,7 +341,7 @@ class ReferenceIncrementalCov {
   explicit ReferenceIncrementalCov(std::size_t num_labels)
       : counts_(num_labels, 0) {}
 
-  void add(std::span<const std::size_t> client_counts) {
+  void add(std::span<const data::LabelMatrix::Count> client_counts) {
     for (std::size_t j = 0; j < counts_.size(); ++j)
       counts_[j] += client_counts[j];
   }
@@ -334,7 +357,7 @@ class ReferenceIncrementalCov {
   }
 
   [[nodiscard]] double value_with(
-      std::span<const std::size_t> client_counts) const {
+      std::span<const data::LabelMatrix::Count> client_counts) const {
     const double m = static_cast<double>(counts_.size());
     double combined_total = 0.0;
     double s = 0.0;
@@ -436,14 +459,14 @@ grouping::Grouping reference_cov_grouping(
 /// scan meets exact ties (its argmin must keep the first) and groups whose
 /// combined total is 0 (the T = 0 branch).
 data::LabelMatrix tie_matrix(std::size_t clients, std::uint64_t seed) {
-  const std::vector<std::vector<std::size_t>> patterns = {
+  const std::vector<std::vector<data::LabelMatrix::Count>> patterns = {
       {0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, {5, 0, 0, 0, 0, 0, 0, 0, 0, 0},
       {0, 5, 0, 0, 0, 0, 0, 0, 0, 0}, {2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
       {0, 0, 9, 1, 0, 0, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0, 0, 0, 0, 3}};
   runtime::Rng rng(seed);
-  std::vector<std::vector<std::size_t>> rows(clients);
+  std::vector<std::vector<data::LabelMatrix::Count>> rows(clients);
   for (auto& row : rows) row = patterns[rng.next_below(patterns.size())];
-  return data::LabelMatrix(std::move(rows), 10);
+  return data::LabelMatrix(rows, 10);
 }
 
 double reference_group_kld(const data::LabelMatrix& matrix,
@@ -543,7 +566,8 @@ TEST(TombstonePool, CovByteIdenticalToEraseBasedGreedy) {
   const std::vector<std::pair<std::string, data::LabelMatrix>> matrices = {
       {"dirichlet seed 3", make_matrix(160, 3)},
       {"dirichlet seed 17", make_matrix(160, 17)},
-      {"ties and zero rows", tie_matrix(300, 5)}};
+      {"ties and zero rows", tie_matrix(300, 5)},
+      {"32-bit-wide counts", wide_matrix(160, 29)}};
   // Windows not divisible by the 8 scan lanes, one that is, and 0 (the
   // classic whole-pool greedy); 257 covers all 160 clients in one window.
   for (const auto& [name, matrix] : matrices) {
@@ -569,8 +593,10 @@ TEST(TombstonePool, CovByteIdenticalToEraseBasedGreedy) {
 }
 
 TEST(TombstonePool, KldgByteIdenticalToEraseBasedGreedy) {
-  for (const std::uint64_t seed : {3ull, 17ull}) {
-    const data::LabelMatrix matrix = make_matrix(120, seed);
+  for (const std::uint64_t seed : {3ull, 17ull, 29ull}) {
+    // Seed 29 runs the 32-bit-wide counts.
+    const data::LabelMatrix matrix =
+        seed == 29 ? wide_matrix(120, seed) : make_matrix(120, seed);
     for (const std::size_t window : {std::size_t{0}, std::size_t{40}}) {
       grouping::GroupingParams params;
       params.min_group_size = 5;

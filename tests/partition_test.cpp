@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -83,16 +84,25 @@ TEST(Partition, RejectsInvalidAlphaAndSizeMoments) {
     std::string field;
     double value;
   };
+  // size_max = 2^32 does not fit the 32-bit counts: it was accepted,
+  // truncated by set_data_count and fed to a long long clamp.
   const std::vector<Bad> bad = {
       {"alpha", 0.0},     {"alpha", -1.0},    {"alpha", inf},
       {"alpha", nan},     {"size_mean", nan}, {"size_mean", inf},
-      {"size_std", -1.0}, {"size_std", nan},  {"size_std", inf}};
+      {"size_std", -1.0}, {"size_std", nan},  {"size_std", inf},
+      {"size_max", 4294967296.0}};
   auto pool = make_pool(4000);
   for (const Bad& b : bad) {
     PartitionSpec spec = small_spec(20, 0.5);
     if (b.field == "alpha") spec.alpha = b.value;
     if (b.field == "size_mean") spec.size_mean = b.value;
     if (b.field == "size_std") spec.size_std = b.value;
+    if (b.field == "size_max") {
+      spec.size_min = 1;
+      spec.size_max = static_cast<std::size_t>(b.value);
+      spec.size_mean = 1.0;
+      spec.size_std = 0.0;
+    }
     runtime::Rng rng(6);
     const auto expect_rejected = [&](auto&& partition) {
       try {
@@ -125,7 +135,7 @@ TEST_P(PartitionSkewTest, ClientCovDecreasesWithAlpha) {
   const auto matrix = LabelMatrix::from_shards(shards);
   double mean_cov = 0.0;
   for (std::size_t i = 0; i < matrix.num_clients(); ++i)
-    mean_cov += grouping::cov(matrix.row(i));
+    mean_cov += grouping::group_cov(matrix, std::array{i});
   mean_cov /= static_cast<double>(matrix.num_clients());
   if (alpha <= 0.05) {
     EXPECT_GT(mean_cov, 1.8);

@@ -1,6 +1,7 @@
 // Zero steady-state heap allocations in the minibatch pipeline: once its
 // caller-owned Batch and the thread-local SGD scratch are warm, gather_into
-// and run_local_sgd must not touch the allocator.
+// and run_local_sgd must not touch the allocator. Also: a lazy store's
+// label matrix allocates no table.
 //
 // Counting replaces the process-wide global operator new, so this file is
 // its own test binary: every allocation in the process goes through the
@@ -21,10 +22,12 @@
 
 namespace {
 std::atomic<std::size_t> g_allocs{0};
+std::atomic<std::size_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -45,6 +48,9 @@ namespace groupfel {
 namespace {
 
 std::size_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
+std::size_t alloc_bytes() {
+  return g_alloc_bytes.load(std::memory_order_relaxed);
+}
 
 core::Experiment small_experiment() {
   core::ExperimentSpec spec;
@@ -94,6 +100,27 @@ TEST(SteadyStateAllocs, LocalSgdAllocatesNothing) {
   const std::size_t steady_allocs = allocs() - a0;
   EXPECT_EQ(steady_allocs, 0u);
   EXPECT_EQ(nn::tensor_construction_count(), c0);
+}
+
+TEST(SteadyStateAllocs, LazyLabelMatrixAllocatesNoTable) {
+  // The label matrix of a descriptor-backed store is the descriptor table
+  // itself; building it for 100k clients must not copy the 4 MB of counts
+  // (the size_t copy it replaced allocated 8 MB).
+  core::ExperimentSpec spec;
+  spec.num_clients = 100000;
+  spec.num_edges = 10;
+  spec.size_mean = 40;
+  spec.size_std = 10;
+  spec.size_min = 16;
+  spec.size_max = 64;
+  spec.test_size = 32;
+  spec.mlp_hidden = 8;
+  spec.client_state = core::ClientStateMode::kLazy;
+  const core::Experiment exp = core::build_experiment(spec);
+  const std::size_t b0 = alloc_bytes();
+  const data::LabelMatrix matrix = exp.topology.clients.label_matrix();
+  EXPECT_LT(alloc_bytes() - b0, 1024u);
+  EXPECT_EQ(matrix.num_clients(), spec.num_clients);
 }
 
 }  // namespace
