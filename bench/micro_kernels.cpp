@@ -13,11 +13,12 @@
 //   ./micro_kernels --smoke    fast correctness-weighted pass for ctest:
 //                              tiny rep budget, hard-fails if an optimized
 //                              kernel diverges from its oracle beyond its
-//                              per-precision tolerance (fp32 1e-4; bf16
-//                              widens to its storage rounding — see
-//                              docs/DEVELOPMENT.md "Mixed precision")
+//                              tolerance (1e-4, or an exact match).
 //                              The full run also enforces per-row speed
 //                              gates (min_speedup in the JSON).
+//
+// Every two-arm row times its arms in alternating rounds and keeps each
+// arm's best, so host load during the run falls on both arms alike.
 //
 // GEMM shapes are the paper-relevant ones: the 256³ reference point, the
 // MLP surrogate's forward/backward (eval batch 256, feature 32, hidden 64),
@@ -31,10 +32,12 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,7 +49,6 @@
 #include "grouping/candidate_pool.hpp"
 #include "grouping/grouping.hpp"
 #include "nn/layer.hpp"
-#include "nn/precision.hpp"
 #include "nn/tensor.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
@@ -68,12 +70,26 @@ struct KernelReport {
   double opt_gflops = 0.0;    // shipped implementation
   double speedup = 0.0;
   double max_rel_err = 0.0;   // optimized vs oracle
-  double tolerance = 1e-4;    // smoke gate for max_rel_err (per precision)
+  double tolerance = 1e-4;    // smoke gate for max_rel_err (per row)
   double min_speedup = 0.0;   // full-mode speed gate (0 = none)
   std::string note;
 };
 
 std::atomic<bool> g_smoke{false};
+
+/// Seconds of one call. A returned value (e.g. a built experiment) is
+/// destroyed after the clock stops.
+template <typename Fn>
+double seconds_of(Fn& fn) {
+  runtime::Timer t;
+  if constexpr (std::is_void_v<decltype(fn())>) {
+    fn();
+    return t.seconds();
+  } else {
+    [[maybe_unused]] const auto kept = fn();
+    return t.seconds();
+  }
+}
 
 /// Best-of-reps seconds per call; reps shrink to 1 under --smoke.
 template <typename Fn>
@@ -84,6 +100,31 @@ double time_best(Fn&& fn, std::size_t reps) {
     runtime::Timer t;
     fn();
     best = std::min(best, t.seconds());
+  }
+  return best;
+}
+
+struct ArmSeconds {
+  double opt = std::numeric_limits<double>::infinity();
+  double naive = std::numeric_limits<double>::infinity();
+};
+
+/// Best-of-reps seconds per call of two arms that take turns: up to five
+/// rounds, each running a burst of the optimized arm and then a burst of
+/// the naive one, so host load falls on both arms alike while each timed
+/// call still follows a call of its own arm; reps shrink to 1 under
+/// --smoke.
+template <typename Opt, typename Naive>
+ArmSeconds time_best_alternating(Opt&& opt, Naive&& naive, std::size_t reps) {
+  if (g_smoke.load()) reps = 1;
+  const std::size_t rounds = std::min<std::size_t>(reps, 5);
+  const std::size_t burst = (reps + rounds - 1) / rounds;
+  ArmSeconds best;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < burst; ++i)
+      best.opt = std::min(best.opt, seconds_of(opt));
+    for (std::size_t i = 0; i < burst; ++i)
+      best.naive = std::min(best.naive, seconds_of(naive));
   }
   return best;
 }
@@ -143,48 +184,10 @@ KernelReport bench_gemm(const std::string& name, int variant, std::size_t m,
   opt();  // warms the workspace arena; result reused for the error check
   naive();
   r.max_rel_err = max_rel_error(out, ref);
-  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
-  r.naive_gflops = r.flops / time_best(naive, reps) * 1e-9;
+  const ArmSeconds t = time_best_alternating(opt, naive, reps);
+  r.opt_gflops = r.flops / t.opt * 1e-9;
+  r.naive_gflops = r.flops / t.naive * 1e-9;
   r.speedup = r.opt_gflops / r.naive_gflops;
-  return r;
-}
-
-/// Times a bf16-storage GEMM against the fp32 BLOCKED kernel (not the naive
-/// oracle): both operands are value-rounded to bf16 once, accumulation
-/// stays fp32, so max_rel_err is pure storage-rounding error. The tolerance
-/// follows bf16's rounding envelope at this shape class (docs/DEVELOPMENT.md
-/// "Mixed precision"): with unit-normal operands the worst absolute error
-/// grows like sqrt(k) * 2^-8 (8-bit significand), so at k = 256 the max over
-/// entries with |ref| near the denominator floor of 1 reaches ~1.5e-1; the
-/// gate sits above with margin.
-KernelReport bench_gemm_bf16(const std::string& name, std::size_t m,
-                             std::size_t k, std::size_t n, std::size_t reps) {
-  runtime::Rng rng(m * 1315423911u + k * 2654435761u + n);
-  nn::Tensor a({m, k}), b({k, n});
-  nn::Tensor out({m, n}), ref({m, n});
-  fill_random(a, rng);
-  fill_random(b, rng);
-
-  const auto opt = [&] {
-    nn::matmul(a, b, out, nn::StoragePrecision::kBf16);
-  };
-  const auto fp32 = [&] { nn::matmul(a, b, ref); };
-
-  KernelReport r;
-  r.name = name;
-  r.shape = "m" + std::to_string(m) + "_k" + std::to_string(k) + "_n" +
-            std::to_string(n);
-  r.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-            static_cast<double>(n);
-  r.tolerance = 2.5e-1;
-  opt();  // warms the workspace arena; result reused for the error check
-  fp32();
-  r.max_rel_err = max_rel_error(out, ref);
-  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
-  r.naive_gflops = r.flops / time_best(fp32, reps) * 1e-9;
-  r.speedup = r.opt_gflops / r.naive_gflops;
-  r.note = "baseline is the fp32 blocked kernel; bf16 storage, fp32 "
-           "accumulation";
   return r;
 }
 
@@ -225,15 +228,11 @@ std::pair<KernelReport, KernelReport> bench_conv(
   nn::Tensor got = conv.forward(x, /*train=*/false);
   const nn::Tensor want = nn::conv_reference_forward(x, weight, bias, pad);
   fwd.max_rel_err = max_rel_error(got, want);
-  fwd.opt_gflops =
-      fwd.flops / time_best([&] { got = conv.forward(x, false); }, reps) *
-      1e-9;
-  fwd.naive_gflops =
-      fwd.flops /
-      time_best(
-          [&] { (void)nn::conv_reference_forward(x, weight, bias, pad); },
-          reps) *
-      1e-9;
+  const ArmSeconds ft = time_best_alternating(
+      [&] { got = conv.forward(x, false); },
+      [&] { (void)nn::conv_reference_forward(x, weight, bias, pad); }, reps);
+  fwd.opt_gflops = fwd.flops / ft.opt * 1e-9;
+  fwd.naive_gflops = fwd.flops / ft.naive * 1e-9;
   fwd.speedup = fwd.opt_gflops / fwd.naive_gflops;
 
   KernelReport bwd;
@@ -248,22 +247,18 @@ std::pair<KernelReport, KernelReport> bench_conv(
   (void)conv.forward(x, true);
   const nn::Tensor got_gin = conv.backward(gout);
   bwd.max_rel_err = max_rel_error(got_gin, ref_gin);
-  bwd.opt_gflops = bwd.flops / time_best(
-                                   [&] {
-                                     (void)conv.forward(x, true);
-                                     (void)conv.backward(gout);
-                                   },
-                                   reps) *
-                   1e-9;
-  bwd.naive_gflops =
-      bwd.flops /
-      time_best(
-          [&] {
-            (void)nn::conv_reference_backward(x, weight, gout, pad, ref_gw,
-                                              ref_gb);
-          },
-          reps) *
-      1e-9;
+  const ArmSeconds bt = time_best_alternating(
+      [&] {
+        (void)conv.forward(x, true);
+        (void)conv.backward(gout);
+      },
+      [&] {
+        (void)nn::conv_reference_backward(x, weight, gout, pad, ref_gw,
+                                          ref_gb);
+      },
+      reps);
+  bwd.opt_gflops = bwd.flops / bt.opt * 1e-9;
+  bwd.naive_gflops = bwd.flops / bt.naive * 1e-9;
   bwd.speedup = bwd.opt_gflops / bwd.naive_gflops;
   bwd.note = "optimized timing includes the paired forward (activation cache)";
   return {fwd, bwd};
@@ -295,8 +290,9 @@ KernelReport bench_secagg_mask(std::size_t n, std::size_t reps) {
   r.max_rel_err = static_cast<double>(mismatches) / static_cast<double>(n);
   r.tolerance = 0.0;
   r.min_speedup = 3.0;
-  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
-  r.naive_gflops = r.flops / time_best(naive, reps) * 1e-9;
+  const ArmSeconds t = time_best_alternating(opt, naive, reps);
+  r.opt_gflops = r.flops / t.opt * 1e-9;
+  r.naive_gflops = r.flops / t.naive * 1e-9;
   r.speedup = r.opt_gflops / r.naive_gflops;
   r.note = "replaces the former single-implementation row; Gelem/s of "
            "field elements; error is the mismatch share (exact match "
@@ -342,8 +338,9 @@ KernelReport bench_synth_normals(std::size_t n, std::size_t samples,
       static_cast<double>(mismatches) / static_cast<double>(naive_out.size());
   r.tolerance = 0.0;
   r.min_speedup = 2.0;
-  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
-  r.naive_gflops = r.flops / time_best(naive, reps) * 1e-9;
+  const ArmSeconds t = time_best_alternating(opt, naive, reps);
+  r.opt_gflops = r.flops / t.opt * 1e-9;
+  r.naive_gflops = r.flops / t.naive * 1e-9;
   r.speedup = r.opt_gflops / r.naive_gflops;
   r.note = "Gfloat/s of noised sample floats; error is the mismatch share "
            "(exact match required)";
@@ -419,8 +416,9 @@ KernelReport bench_partition_categorical(std::size_t clients,
       static_cast<double>(mismatches) / static_cast<double>(clients);
   r.tolerance = 0.0;
   r.min_speedup = 2.0;
-  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
-  r.naive_gflops = r.flops / time_best(naive, reps) * 1e-9;
+  const ArmSeconds t = time_best_alternating(opt, naive, reps);
+  r.opt_gflops = r.flops / t.opt * 1e-9;
+  r.naive_gflops = r.flops / t.naive * 1e-9;
   r.speedup = r.opt_gflops / r.naive_gflops;
   r.note = "Gdraw/s of label draws; error is the mismatch share of clients' "
            "histograms and final stream states (exact match required)";
@@ -517,8 +515,9 @@ KernelReport bench_cov_greedy_edge(std::size_t clients, std::size_t reps) {
   r.max_rel_err = naive_groups == opt_groups ? 0.0 : 1.0;
   r.tolerance = 0.0;
   r.min_speedup = 1.6;
-  r.opt_gflops = r.flops / time_best(opt, reps) * 1e-9;
-  r.naive_gflops = r.flops / time_best(naive, reps) * 1e-9;
+  const ArmSeconds t = time_best_alternating(opt, naive, reps);
+  r.opt_gflops = r.flops / t.opt * 1e-9;
+  r.naive_gflops = r.flops / t.naive * 1e-9;
   r.speedup = r.opt_gflops / r.naive_gflops;
   r.note = "Gclients/s grouped on one edge; error is 1 unless the groupings "
            "are identical";
@@ -587,34 +586,34 @@ KernelReport bench_control_plane(std::size_t clients) {
   cfg.seed = 42;
 
   struct Arm {
-    double seconds = 0.0;
     std::vector<core::FormedGroup> groups;
     std::vector<double> probabilities;
   };
-  const auto run = [&](std::size_t threads) {
-    runtime::ThreadPool pool(threads);
-    Arm arm;
-    runtime::Timer t;
-    const core::Experiment exp = core::build_experiment(spec, &pool);
-    const core::GroupFelTrainer trainer(
-        exp.topology, cfg,
+  runtime::ThreadPool serial_pool(0), quad_pool(4);
+  // The timed set-up; its experiment and trainer are handed back so that
+  // their teardown falls outside the clock.
+  const auto set_up = [&](runtime::ThreadPool& pool) {
+    auto exp = std::make_unique<core::Experiment>(
+        core::build_experiment(spec, &pool));
+    auto trainer = std::make_unique<core::GroupFelTrainer>(
+        exp->topology, cfg,
         core::build_cost_model(cost::Task::kCifar, cost::GroupOp::kSecAgg),
         &pool);
-    arm.seconds = t.seconds();
-    arm.groups = trainer.groups();
-    arm.probabilities = trainer.sampling_probabilities();
-    return arm;
+    return std::make_pair(std::move(exp), std::move(trainer));
+  };
+  const auto untimed = [&](runtime::ThreadPool& pool) {
+    const auto built = set_up(pool);
+    return Arm{built.second->groups(),
+               built.second->sampling_probabilities()};
   };
   // One untimed warm-up per arm, whose groups and probabilities are
   // compared below; then each arm's time is the best of three alternating
-  // runs, so host load falls on both arms alike.
-  Arm serial = run(0);
-  Arm pooled = run(4);
-  serial.seconds = pooled.seconds = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    serial.seconds = std::min(serial.seconds, run(0).seconds);
-    pooled.seconds = std::min(pooled.seconds, run(4).seconds);
-  }
+  // runs.
+  const Arm serial = untimed(serial_pool);
+  const Arm pooled = untimed(quad_pool);
+  const ArmSeconds t = time_best_alternating(
+      [&] { return set_up(quad_pool); }, [&] { return set_up(serial_pool); },
+      3);
 
   std::size_t mismatches = 0;
   const std::size_t n = std::max(serial.groups.size(), pooled.groups.size());
@@ -640,9 +639,9 @@ KernelReport bench_control_plane(std::size_t clients) {
                          : static_cast<double>(mismatches) /
                                static_cast<double>(n);
   r.tolerance = 0.0;
-  r.naive_gflops = r.flops / serial.seconds * 1e-9;
-  r.opt_gflops = r.flops / pooled.seconds * 1e-9;
-  r.speedup = serial.seconds / pooled.seconds;
+  r.naive_gflops = r.flops / t.naive * 1e-9;
+  r.opt_gflops = r.flops / t.opt * 1e-9;
+  r.speedup = t.naive / t.opt;
   const unsigned hw = std::thread::hardware_concurrency();
   r.note = "Gclients/s of set-up, pool 0 vs pool 4; error is the mismatch "
            "share of groups and Eq. 34 probabilities (exact match required)";
@@ -692,11 +691,6 @@ int main(int argc, char** argv) {
   reports.push_back(bench_gemm("gemm", 0, 256, 256, 256, 7));
   reports.push_back(bench_gemm("gemm_bt", 1, 256, 256, 256, 7));
   reports.push_back(bench_gemm("gemm_at", 2, 256, 256, 256, 7));
-  // bf16-storage GEMM at the same reference point, measured against the
-  // fp32 blocked kernel (the fp32-vs-bf16 row the perf gate reads), plus
-  // the MLP eval shape where the skinny-dispatch fallback engages.
-  reports.push_back(bench_gemm_bf16("gemm_bf16", 256, 256, 256, 7));
-  reports.push_back(bench_gemm_bf16("gemm_bf16_mlp_eval", 256, 32, 64, 51));
   // MLP surrogate shapes: train batch 8 and eval batch 256 over the CIFAR
   // feature width (32 → hidden 64).
   reports.push_back(bench_gemm("gemm_mlp_train", 0, 8, 32, 64, 51));
@@ -760,8 +754,8 @@ int main(int argc, char** argv) {
   write_json(reports, "BENCH_kernels.json");
 
   // Correctness gate (the ctest smoke target relies on this): each row
-  // carries its own tolerance — 1e-4 for fp32 kernels, widened for the
-  // bf16-storage rows to their documented rounding envelope.
+  // carries its own tolerance — 1e-4, or 0 where an exact match is
+  // required.
   bool ok = true;
   for (const auto& r : reports) {
     if (r.max_rel_err > r.tolerance) {

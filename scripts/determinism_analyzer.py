@@ -15,7 +15,7 @@ Rules (all share `scripts/analysis_core.py`; `--explain <rule>` for details):
   parallel-float-reduction  float/double compound-assign accumulation (or
                             std::accumulate) inside a callable dispatched
                             via ThreadPool::parallel_for /
-                            SweepScheduler::{run,map} that targets captured
+                            SweepScheduler::run that targets captured
                             state not indexed by the worker's own logical
                             index. Cross-worker float sums must go through
                             nn::weighted_average_into or a fixed-shape tree
@@ -136,7 +136,7 @@ class ParallelFloatReductionRule(Rule):
     explain = """
 A compound assignment (+=, -=, *=, /=) or std::accumulate on captured state
 inside a callable dispatched through ThreadPool::parallel_for or
-SweepScheduler::run/map. Workers finish in nondeterministic order, so a
+SweepScheduler::run. Workers finish in nondeterministic order, so a
 shared floating-point accumulation makes the sum depend on scheduling —
 float addition is not associative — and results stop being bit-identical
 across pool sizes. Writes to slots indexed by the worker's own logical

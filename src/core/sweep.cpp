@@ -99,7 +99,7 @@ SweepRunResult run_sweep(const std::vector<SweepCell>& cells,
       experiments[spec_of[i]] =
           std::make_unique<Experiment>(build_experiment(specs[spec_of[i]]));
 
-  runtime::SweepScheduler scheduler(opts.serial_cells ? nullptr : pool);
+  runtime::SweepScheduler scheduler(*pool);
 
   // Progress monitor: cells_completed() is documented safe to poll while
   // run() is in flight, so a plain sidecar thread reports without touching

@@ -3,16 +3,16 @@
 //
 // A figure reproduction is a list of SweepCells (method x seed x config).
 // run_sweep dedups identical federation specs so concurrent cells share one
-// immutable DataSet, then runs every cell through one of three modes:
+// immutable DataSet, then runs every cell through one of two backends:
 //
-//   serial          opts.serial_cells — index-order loop (the A/B reference)
 //   in-process      SweepBackend::kInProcess — cells concurrent over `pool`
+//                   (a 0-thread pool runs them in index order: the reference)
 //   multi-process   SweepBackend::kProcess — cells shipped over pipes to
 //                   forked workers (runtime/proc wire protocol)
 //
 // Each cell constructs its own GroupFelTrainer (private replica cache, RNG
 // streams derived from its config seed), so results are bit-identical across
-// all three modes and for any pool/worker count.
+// both backends and for any pool/worker count.
 //
 // Setting opts.checkpoint_path turns on the per-cell journal
 // (core/sweep_journal.hpp): every completed cell is appended and flushed, and
@@ -64,21 +64,14 @@ enum class SweepBackend {
 struct SweepOptions {
   /// Pool for both cell-level concurrency and each trainer's internal
   /// parallel loops (in-process backend); null uses ThreadPool::global().
+  /// A 0-thread pool runs the cells inline in index order.
   runtime::ThreadPool* pool = nullptr;
-  /// Run cells in a serial index-order loop instead of concurrently (the
-  /// trainers still use `pool` internally). Results are identical; this is
-  /// the reference mode RunSweep.BitIdenticalForAnyPoolSize compares
-  /// against.
-  bool serial_cells = false;
 
   SweepBackend backend = SweepBackend::kInProcess;
   /// Worker processes for SweepBackend::kProcess; 0 picks
   /// std::thread::hardware_concurrency(). Capped at the number of cells.
+  /// Each worker trains its cells inline on a private 0-thread pool.
   std::size_t workers = 0;
-  /// Threads INSIDE each worker process (its private ThreadPool). The
-  /// default 0 runs inline — forked children must not spin up threads under
-  /// TSan, and must never touch the parent's ThreadPool::global().
-  std::size_t worker_threads = 0;
 
   /// Non-empty enables the per-cell checkpoint journal at this path
   /// (conventionally `sweep_checkpoint.bin`).

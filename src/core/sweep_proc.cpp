@@ -55,10 +55,11 @@ namespace {
 
 }  // namespace
 
-int sweep_worker_loop(int in_fd, int out_fd, std::size_t worker_threads) {
-  // The worker's own pool — NEVER ThreadPool::global(): the parent's pool
-  // threads do not exist in this process after fork. 0 threads = inline.
-  runtime::ThreadPool pool(worker_threads);
+int sweep_worker_loop(int in_fd, int out_fd) {
+  // The worker's own inline pool — NEVER ThreadPool::global(): the parent's
+  // pool threads do not exist in this process after fork, and a forked
+  // child must not spin up threads of its own under TSan.
+  runtime::ThreadPool pool(0);
   // Experiments cached by spec so consecutive cells over the same federation
   // build the DataSet once (a deque keeps references stable across growth).
   std::deque<std::pair<ExperimentSpec, Experiment>> cache;
@@ -123,18 +124,14 @@ void run_sweep_process(
   // not as SIGPIPE killing the dispatcher.
   proc::ScopedSigpipeIgnore sigpipe;
 
-  const std::size_t worker_threads = opts.worker_threads;
   std::vector<proc::Subprocess> workers;
   workers.reserve(n_workers);
   // Each child closes the pipe ends of previously spawned siblings, so when
   // THIS process dies every worker sees EOF and exits instead of lingering.
   std::vector<int> sibling_fds;
   for (std::size_t w = 0; w < n_workers; ++w) {
-    workers.push_back(proc::Subprocess::spawn(
-        [worker_threads](int rfd, int wfd) {
-          return sweep_worker_loop(rfd, wfd, worker_threads);
-        },
-        sibling_fds));
+    workers.push_back(
+        proc::Subprocess::spawn(sweep_worker_loop, sibling_fds));
     sibling_fds.push_back(workers.back().read_fd());
     sibling_fds.push_back(workers.back().write_fd());
     if (opts.on_worker_spawn)

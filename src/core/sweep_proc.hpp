@@ -33,12 +33,11 @@ inline constexpr std::uint8_t kResultFrame = 11;
 inline constexpr std::uint8_t kErrorFrame = 12;
 
 /// Body of a forked sweep worker: reads kCellFrame messages from `in_fd`,
-/// trains each cell with a private ThreadPool of `worker_threads` threads
-/// (0 = inline), and writes kResultFrame (or kErrorFrame on a per-cell
-/// exception) to `out_fd`. Returns the process exit code: 0 on clean EOF
-/// from the parent, nonzero on a damaged stream.
-[[nodiscard]] int sweep_worker_loop(int in_fd, int out_fd,
-                                    std::size_t worker_threads);
+/// trains each cell inline on a private 0-thread pool, and writes
+/// kResultFrame (or kErrorFrame on a per-cell exception) to `out_fd`.
+/// Returns the process exit code: 0 on clean EOF from the parent, nonzero
+/// on a damaged stream.
+[[nodiscard]] int sweep_worker_loop(int in_fd, int out_fd);
 
 /// Dispatches `pending` (indices into `cells`) across forked workers and
 /// invokes `on_result(index, result)` on the parent thread in completion

@@ -20,14 +20,10 @@
 // bit-identical for any pool size.
 //
 // Mixed precision: gemm/gemm_acc take a StoragePrecision selector. For bf16
-// the pack step rounds each operand element once (RNE, via util/half.hpp)
-// and stores it half-width, so the blocked micro-kernel streams half the
-// bytes while still accumulating in fp32. On hosts with AMX-BF16 the bf16
-// path runs on tile units (TDPBF16PS). Shapes the fp32 dispatch would route
-// around the blocked path instead compute on bf16-rounded operand copies,
-// so the value semantics — "every operand element passed through bf16
-// exactly once" — hold on every shape, and results remain bit-identical
-// across pool sizes per precision.
+// both operands are rounded once (RNE, via util/half.hpp) into dense copies,
+// then the fp32 kernels run on the copies. A bf16 product is bit-identical
+// to the fp32 product of bf16-rounded operands on every shape and every
+// host, and stays bit-identical across pool sizes.
 #pragma once
 
 #include <cstddef>

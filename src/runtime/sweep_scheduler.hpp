@@ -4,8 +4,8 @@
 // A "cell" is one self-contained unit of a sweep (one method x seed x config
 // combination of a figure reproduction). Cells share no mutable state: they
 // read the same immutable inputs (e.g. a shared DataSet) and each derives
-// its own counter-based RNG stream from its cell index, so the scheduler can
-// run them in any order on any number of threads and store results by index.
+// its own RNG streams from its config seed, so the scheduler can run them in
+// any order on any number of threads and store results by index.
 // A scheduled sweep is therefore bit-identical to the serial loop — the only
 // observable difference is wall-clock time.
 //
@@ -15,79 +15,34 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <vector>
 
-#include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/timer.hpp"
 #include "util/sync.hpp"
 
 namespace groupfel::runtime {
 
-/// Independent seed for cell `index` of a sweep rooted at `root_seed`.
-/// Counter-based (splitmix64 of root + index), so any subset of cells can
-/// be re-run in isolation with identical streams.
-[[nodiscard]] inline std::uint64_t cell_seed(std::uint64_t root_seed,
-                                             std::size_t index) noexcept {
-  std::uint64_t state =
-      root_seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(index) + 1);
-  return splitmix64(state);
-}
-
 class SweepScheduler {
  public:
-  /// `pool == nullptr` runs cells in a serial index-order loop — the
-  /// reference execution the concurrent path must match bit for bit.
-  explicit SweepScheduler(ThreadPool* pool = nullptr) noexcept
-      : pool_(pool) {}
+  explicit SweepScheduler(ThreadPool& pool) noexcept : pool_(pool) {}
 
-  /// Runs body(i) for every cell i in [0, n). With a pool, cells execute
-  /// concurrently (the caller participates); without one, serially in index
-  /// order. Blocks until every cell finished; records per-cell and total
-  /// wall time. Exceptions propagate like ThreadPool::parallel_for.
+  /// Runs body(i) for every cell i in [0, n) over the pool: concurrently
+  /// (the caller participates), or serially in index order on a 0-thread
+  /// pool — the reference execution the concurrent path must match bit for
+  /// bit. Blocks until every cell finished. Exceptions propagate like
+  /// ThreadPool::parallel_for.
   void run(std::size_t n, const std::function<void(std::size_t)>& body) {
-    cell_seconds_.assign(n, 0.0);
     {
       util::MutexLock lock(progress_mu_);
       cells_completed_ = 0;
     }
-    Timer total;
-    const auto timed_body = [&](std::size_t i) {
-      Timer t;
+    pool_.parallel_for(n, [&](std::size_t i) {
       body(i);
-      cell_seconds_[i] = t.seconds();  // private slot per cell: no race
       util::MutexLock lock(progress_mu_);
       ++cells_completed_;
-    };
-    if (pool_ != nullptr && pool_->size() > 0 && n > 1) {
-      pool_->parallel_for(n, timed_body);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) timed_body(i);
-    }
-    total_seconds_ = total.seconds();
+    });
   }
 
-  /// run() variant collecting results by cell index (deterministic output
-  /// ordering regardless of execution order).
-  template <typename Result>
-  [[nodiscard]] std::vector<Result> map(
-      std::size_t n, const std::function<Result(std::size_t)>& body) {
-    std::vector<Result> results(n);
-    run(n, [&](std::size_t i) { results[i] = body(i); });
-    return results;
-  }
-
-  [[nodiscard]] ThreadPool* pool() const noexcept { return pool_; }
-  /// Wall time of the last run().
-  [[nodiscard]] double total_seconds() const noexcept {
-    return total_seconds_;
-  }
-  /// Per-cell wall times of the last run().
-  [[nodiscard]] const std::vector<double>& cell_seconds() const noexcept {
-    return cell_seconds_;
-  }
   /// Cells finished so far — safe to poll from another thread while run()
   /// is in flight (progress reporting); equals n after run() returns.
   [[nodiscard]] std::size_t cells_completed() const {
@@ -96,9 +51,7 @@ class SweepScheduler {
   }
 
  private:
-  ThreadPool* pool_ = nullptr;
-  double total_seconds_ = 0.0;
-  std::vector<double> cell_seconds_;
+  ThreadPool& pool_;
   mutable util::Mutex progress_mu_;
   std::size_t cells_completed_ GF_GUARDED_BY(progress_mu_) = 0;
 };

@@ -1,12 +1,12 @@
 // Half-width floating-point storage types: IEEE 754 binary16 (fp16) and
-// bfloat16 (bf16), with the scalar and vectorized conversion routines the
-// bf16 GEMM packs and the fp16 wire codec are built on.
+// bfloat16 (bf16), with the scalar conversion routines the bf16 GEMM's
+// operand rounding and the fp16 wire codec are built on.
 //
 // This header is the ONLY place in the repository where float bits may be
 // reinterpreted as half-width bits or vice versa (scripts/lint.py rule
-// `half-bitcast` enforces it). Everything else — kernel packs, the
-// compression codecs, tests — goes through these functions, so the rounding
-// semantics live in exactly one file:
+// `half-bitcast` enforces it). Everything else — the GEMM operand rounding,
+// the compression codecs, tests — goes through these functions, so the
+// rounding semantics live in exactly one file:
 //
 //  * all float -> half conversions round to nearest, ties to even (RNE),
 //    matching the hardware converters (VCVTPS2PH, VCVTNEPS2BF16);
@@ -16,15 +16,12 @@
 //    with or without -march=native — produces identical bits (determinism:
 //    results never depend on which TU did the conversion).
 //
-// The simd sub-namespace provides the in-register bf16 expand load the
-// convert-on-load micro-kernels use (GNU vector extensions). Accumulation is
-// always fp32 — half types are a STORAGE format in this codebase, never an
-// accumulator.
+// Accumulation is always fp32 — half types are a STORAGE format in this
+// codebase, never an accumulator.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <span>
 
 namespace groupfel::util::half {
 
@@ -119,53 +116,4 @@ inline float from_fp16_bits(std::uint16_t h) noexcept {
 inline float round_bf16(float f) noexcept { return from_bf16_bits(to_bf16_bits(f)); }
 inline float round_fp16(float f) noexcept { return from_fp16_bits(to_fp16_bits(f)); }
 
-/// Two vertically adjacent bf16 values packed into one dword, low k first —
-/// the VNNI pair-interleaved layout AMX/VDPBF16PS B-tiles use.
-inline std::uint32_t pair_bf16(float lo, float hi) noexcept {
-  return static_cast<std::uint32_t>(to_bf16_bits(lo)) |
-         (static_cast<std::uint32_t>(to_bf16_bits(hi)) << 16);
-}
-
-// ---------------- span conversions ----------------
-//
-// A plain loop over the scalar converter: an integer-only body that the
-// autovectorizer lifts to SIMD in the kernel TUs, with bit-identical
-// results in every TU.
-
-inline void encode_bf16(std::span<const float> src, std::uint16_t* dst) noexcept {
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = to_bf16_bits(src[i]);
-}
-
 }  // namespace groupfel::util::half
-
-// ---------------- SIMD expand load (kernel TUs) ----------------
-
-#if defined(__GNUC__) || defined(__clang__)
-#define GROUPFEL_HALF_SIMD 1
-
-// The helper writes through an out-parameter: a 64-byte vector passed or
-// returned by value changes the calling convention between ISA levels,
-// which -Wpsabi flags in portable (non-native) builds.
-namespace groupfel::util::half::simd {
-
-typedef float v16f __attribute__((vector_size(16 * sizeof(float))));
-typedef float v16f_u
-    __attribute__((vector_size(16 * sizeof(float)), aligned(alignof(float)),
-                   may_alias));
-typedef std::uint16_t v16u16
-    __attribute__((vector_size(16 * sizeof(std::uint16_t)),
-                   aligned(alignof(std::uint16_t)), may_alias));
-typedef std::uint32_t v16u32
-    __attribute__((vector_size(16 * sizeof(std::uint32_t))));
-
-/// 16 bf16 values expanded to fp32 lanes (widen + shift; exact).
-inline void expand_bf16(const std::uint16_t* p, v16f& out) noexcept {
-  const v16u16 h = *reinterpret_cast<const v16u16*>(p);
-  v16u32 w = __builtin_convertvector(h, v16u32);
-  w = w << 16;
-  std::memcpy(&out, &w, sizeof(out));
-}
-
-}  // namespace groupfel::util::half::simd
-
-#endif  // __GNUC__ || __clang__

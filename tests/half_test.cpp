@@ -155,35 +155,5 @@ TEST(Fp16, SoftConversionMatchesHardware) {
 }
 #endif
 
-// ---------------- packing helpers ----------------
-
-TEST(Half, PairBf16Layout) {
-  const std::uint32_t pair = pair_bf16(1.0f, -2.0f);
-  EXPECT_EQ(pair & 0xFFFFu, to_bf16_bits(1.0f));
-  EXPECT_EQ(pair >> 16, to_bf16_bits(-2.0f));
-}
-
-TEST(Half, SpanEncodersMatchScalar) {
-  runtime::Rng rng(24);
-  std::vector<float> src(257);  // odd length: exercises any tail handling
-  for (auto& v : src) v = static_cast<float>(rng.normal()) * 3.0f;
-  std::vector<std::uint16_t> b(src.size());
-  encode_bf16(src, b.data());
-  for (std::size_t i = 0; i < src.size(); ++i)
-    EXPECT_EQ(b[i], to_bf16_bits(src[i]));
-}
-
-#if defined(GROUPFEL_HALF_SIMD)
-TEST(Half, SimdExpandMatchesScalar) {
-  runtime::Rng rng(25);
-  alignas(64) std::uint16_t b[16];
-  for (std::size_t i = 0; i < 16; ++i)
-    b[i] = to_bf16_bits(static_cast<float>(rng.normal()) * 5.0f);
-  simd::v16f eb;
-  simd::expand_bf16(b, eb);
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(eb[i], from_bf16_bits(b[i]));
-}
-#endif
-
 }  // namespace
 }  // namespace groupfel::util::half

@@ -1,11 +1,16 @@
-// Mixed-precision plumbing: bf16-storage GEMM tolerances, precision
+// Mixed-precision plumbing: bf16-storage GEMM semantics (exactly the fp32
+// GEMM over bf16-rounded operands) and tolerances, precision
 // propagation through Model/clone, the PrecisionConfig -> trainer wiring,
 // pool-size bit-identity of every precision cell of the figures row
 // `ablation_precision` at pools {0, 2, 24}, and the fp16 wire's byte
 // halving.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -44,16 +49,109 @@ double max_rel_error(const nn::Tensor& got, const nn::Tensor& want) {
 // bf16; the fp32-accumulated result then differs from the fp32 kernel by an
 // absolute error of order sqrt(k) * ulp, which against the max(1, |ref|)
 // denominator bounds relative error at ~1.5e-1 (8-bit significand) through
-// k = 256.
+// k = 256. The 256³ reference point and the MLP eval shape 256×32×64,
+// with inputs seeded from their shape, are held to 2.5e-1 for margin.
 TEST(MixedPrecisionGemm, HalfStorageStaysWithinTolerance) {
-  for (const std::size_t n : {16u, 64u, 192u}) {
-    runtime::Rng rng(n);
-    nn::Tensor a({n, n}), b({n, n}), ref({n, n}), out({n, n});
+  struct Case {
+    std::size_t m, k, n;
+    std::uint64_t seed;
+    double bound;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t n : {16u, 64u, 192u})
+    cases.push_back({n, n, n, n, 1.5e-1});
+  for (const auto [m, k, n] : {std::array<std::size_t, 3>{256, 256, 256},
+                               std::array<std::size_t, 3>{256, 32, 64}})
+    cases.push_back({m, k, n, m * 1315423911u + k * 2654435761u + n, 2.5e-1});
+  for (const Case& c : cases) {
+    runtime::Rng rng(c.seed);
+    nn::Tensor a({c.m, c.k}), b({c.k, c.n}), ref({c.m, c.n}), out({c.m, c.n});
     fill_random(a, rng);
     fill_random(b, rng);
     nn::matmul(a, b, ref);
     nn::matmul(a, b, out, StoragePrecision::kBf16);
-    EXPECT_LT(max_rel_error(out, ref), 1.5e-1) << "bf16 n=" << n;
+    EXPECT_LT(max_rel_error(out, ref), c.bound)
+        << "bf16 m=" << c.m << " k=" << c.k << " n=" << c.n;
+  }
+}
+
+nn::Tensor rounded_bf16(const nn::Tensor& t) {
+  nn::Tensor r = t;
+  for (auto& v : r.data()) v = util::half::round_bf16(v);
+  return r;
+}
+
+bool same_bits(const nn::Tensor& x, const nn::Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.raw(), y.raw(), x.size() * sizeof(float)) == 0;
+}
+
+// bf16 compute is one rounding step in front of the fp32 GEMM: a bf16
+// product equals, bit for bit, the fp32 product of bf16-rounded operand
+// copies. Checked for every transpose variant and the accumulating form, on
+// skinny, small-flop, ragged and blocked shapes (256³ and 300×520×200 split
+// their row panels over the pool; 20×40×2100 spans two NC column blocks),
+// with the cases run concurrently over the global pool and inline on a
+// 0-thread pool.
+TEST(MixedPrecisionGemm, Bf16EqualsFp32OnRoundedOperands) {
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  const std::vector<Shape> shapes{
+      {16, 64, 32},    {8, 27, 8192},     {256, 32, 64},
+      {37, 53, 29},    {100, 300, 130},   {20, 40, 2100},
+      {256, 256, 256}, {300, 520, 200},   {4096, 288, 64},
+      {16384, 27, 32},
+  };
+  const char* const variants[] = {"matmul", "matmul_bt", "matmul_at",
+                                  "matmul_at_acc"};
+  constexpr std::size_t kVariants = std::size(variants);
+  runtime::ThreadPool inline_pool(0);
+  for (runtime::ThreadPool* pool :
+       {&runtime::ThreadPool::global(), &inline_pool}) {
+    const std::size_t cases = shapes.size() * kVariants;
+    std::vector<char> equal(cases, 0);
+    pool->parallel_for(cases, [&](std::size_t i) {
+      const auto [m, k, n] = shapes[i / kVariants];
+      const std::size_t variant = i % kVariants;
+      runtime::Rng rng(1000 + i);
+      // Stored operand shapes: A·B, A·Bᵀ (B is n×k), Aᵀ·B (A is k×m).
+      nn::Tensor a(variant >= 2 ? std::vector<std::size_t>{k, m}
+                                : std::vector<std::size_t>{m, k});
+      nn::Tensor b(variant == 1 ? std::vector<std::size_t>{n, k}
+                                : std::vector<std::size_t>{k, n});
+      nn::Tensor got({m, n});
+      fill_random(a, rng);
+      fill_random(b, rng);
+      if (variant == 3) fill_random(got, rng);  // accumulate onto random C
+      nn::Tensor want = got;
+      const nn::Tensor ra = rounded_bf16(a), rb = rounded_bf16(b);
+      switch (variant) {
+        case 0:
+          nn::matmul(a, b, got, StoragePrecision::kBf16);
+          nn::matmul(ra, rb, want);
+          break;
+        case 1:
+          nn::matmul_bt(a, b, got, StoragePrecision::kBf16);
+          nn::matmul_bt(ra, rb, want);
+          break;
+        case 2:
+          nn::matmul_at(a, b, got, StoragePrecision::kBf16);
+          nn::matmul_at(ra, rb, want);
+          break;
+        default:
+          nn::matmul_at_acc(a, b, got, StoragePrecision::kBf16);
+          nn::matmul_at_acc(ra, rb, want);
+          break;
+      }
+      equal[i] = same_bits(got, want);
+    });
+    for (std::size_t i = 0; i < cases; ++i) {
+      const Shape& s = shapes[i / kVariants];
+      EXPECT_TRUE(equal[i]) << variants[i % kVariants] << " m=" << s.m
+                            << " k=" << s.k << " n=" << s.n << " on a "
+                            << pool->size() << "-thread pool";
+    }
   }
 }
 

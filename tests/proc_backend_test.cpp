@@ -139,7 +139,6 @@ core::SweepRunResult run_serial_reference(
   runtime::ThreadPool inline_pool(0);
   core::SweepOptions opts;
   opts.pool = &inline_pool;
-  opts.serial_cells = true;
   return core::run_sweep(cells, opts);
 }
 
@@ -200,7 +199,6 @@ TEST(ProcBackend, ResumeRunsOnlyMissingCells) {
     runtime::ThreadPool inline_pool(0);
     core::SweepOptions opts;
     opts.pool = &inline_pool;
-    opts.serial_cells = true;
     opts.checkpoint_path = path;
     const core::SweepRunResult full = core::run_sweep(cells, opts);
     expect_sweeps_identical(reference, full);
@@ -226,7 +224,6 @@ TEST(ProcBackend, ResumeRunsOnlyMissingCells) {
   runtime::ThreadPool inline_pool(0);
   core::SweepOptions opts;
   opts.pool = &inline_pool;
-  opts.serial_cells = true;
   opts.checkpoint_path = path;
   opts.resume = true;
   const core::SweepRunResult resumed = core::run_sweep(cells, opts);
@@ -246,7 +243,6 @@ TEST(ProcBackend, ResumeRejectsJournalFromDifferentSweep) {
     runtime::ThreadPool inline_pool(0);
     core::SweepOptions opts;
     opts.pool = &inline_pool;
-    opts.serial_cells = true;
     opts.checkpoint_path = path;
     (void)core::run_sweep(cells, opts);
   }
@@ -254,7 +250,6 @@ TEST(ProcBackend, ResumeRejectsJournalFromDifferentSweep) {
   runtime::ThreadPool inline_pool(0);
   core::SweepOptions opts;
   opts.pool = &inline_pool;
-  opts.serial_cells = true;
   opts.checkpoint_path = path;
   opts.resume = true;
   EXPECT_THROW((void)core::run_sweep(cells, opts), std::runtime_error);
@@ -436,7 +431,6 @@ TEST(ProcBackend, KilledSweepResumesByteIdentical) {
   runtime::ThreadPool inline_pool(0);
   core::SweepOptions resume;
   resume.pool = &inline_pool;
-  resume.serial_cells = true;
   resume.checkpoint_path = path;
   resume.resume = true;
   const core::SweepRunResult resumed = core::run_sweep(cells, resume);

@@ -1,13 +1,12 @@
-// SweepScheduler + core::run_sweep tests: deterministic per-cell seeds,
-// index-ordered result collection, spec deduplication, and the headline
-// contract — a scheduled sweep is bit-identical to the serial loop for any
-// pool size (0 = inline, undersized, oversized).
+// SweepScheduler + core::run_sweep tests: every cell runs once, spec
+// deduplication, and the headline contract — a scheduled sweep is
+// bit-identical to the serial loop of a 0-thread pool for any pool size
+// (undersized, oversized).
 #include "runtime/sweep_scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -17,36 +16,15 @@
 namespace groupfel {
 namespace {
 
-TEST(CellSeed, DeterministicAndDistinct) {
-  std::set<std::uint64_t> seen;
-  for (std::size_t i = 0; i < 64; ++i) {
-    const std::uint64_t s = runtime::cell_seed(7, i);
-    EXPECT_EQ(s, runtime::cell_seed(7, i));  // pure function of (root, index)
-    seen.insert(s);
-  }
-  EXPECT_EQ(seen.size(), 64u);
-  EXPECT_NE(runtime::cell_seed(7, 0), runtime::cell_seed(8, 0));
-}
-
 TEST(SweepScheduler, RunsEveryCellExactlyOnce) {
   for (const std::size_t threads : {0UL, 2UL, 24UL}) {
     runtime::ThreadPool pool(threads);
-    runtime::SweepScheduler sched(&pool);
+    runtime::SweepScheduler sched(pool);
     std::vector<std::atomic<int>> hits(17);
     sched.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-    EXPECT_EQ(sched.cell_seconds().size(), hits.size());
     EXPECT_EQ(sched.cells_completed(), hits.size());
   }
-}
-
-TEST(SweepScheduler, MapCollectsByIndex) {
-  runtime::ThreadPool pool(4);
-  runtime::SweepScheduler sched(&pool);
-  const std::vector<std::uint64_t> out = sched.map<std::uint64_t>(
-      32, [](std::size_t i) { return runtime::cell_seed(3, i); });
-  for (std::size_t i = 0; i < out.size(); ++i)
-    EXPECT_EQ(out[i], runtime::cell_seed(3, i));
 }
 
 // ---- run_sweep integration ------------------------------------------------
@@ -136,21 +114,14 @@ TEST(RunSweep, BitIdenticalForAnyPoolSize) {
   runtime::ThreadPool inline_pool(0);
   core::SweepOptions ref_opts;
   ref_opts.pool = &inline_pool;
-  ref_opts.serial_cells = true;
   const core::SweepRunResult reference = core::run_sweep(cells, ref_opts);
 
-  for (const std::size_t threads : {0UL, 2UL, 24UL}) {
+  for (const std::size_t threads : {2UL, 24UL}) {
     runtime::ThreadPool pool(threads);
     core::SweepOptions opts;
     opts.pool = &pool;
     const core::SweepRunResult concurrent = core::run_sweep(cells, opts);
     expect_sweeps_identical(reference, concurrent);
-
-    core::SweepOptions serial_opts;
-    serial_opts.pool = &pool;
-    serial_opts.serial_cells = true;
-    const core::SweepRunResult serial = core::run_sweep(cells, serial_opts);
-    expect_sweeps_identical(reference, serial);
   }
 }
 
