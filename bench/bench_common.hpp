@@ -42,7 +42,8 @@ struct BenchOptions {
   std::string checkpoint;       ///< journal path; empty = no checkpointing
   bool resume = false;          ///< reload completed cells from `checkpoint`
   double progress = 0.0;        ///< progress log interval; 0 = quiet
-  std::unique_ptr<runtime::ThreadPool> owned_pool;  ///< set by --threads
+  /// --threads=N: N - 1 workers, since the caller joins every loop.
+  std::unique_ptr<runtime::ThreadPool> owned_pool;
 };
 
 /// "inproc" or "proc" -> SweepBackend.
@@ -110,9 +111,11 @@ inline util::Flags init(int argc, char** argv) {
   o.progress = flags.get_double("progress", o.progress);
   check_flag(std::isfinite(o.progress) && o.progress >= 0.0, "progress",
              o.progress, "finite and >= 0");
-  if (flags.has("threads"))
+  if (flags.has("threads")) {  // 0 and 1 both run inline
+    const std::size_t threads = flag_count(flags, "threads", 0, 0);
     o.owned_pool = std::make_unique<runtime::ThreadPool>(
-        flag_count(flags, "threads", 0, 0));
+        threads > 0 ? threads - 1 : 0);
+  }
   return flags;
 }
 

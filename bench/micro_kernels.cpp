@@ -6,8 +6,8 @@
 // shard synthesis, plus the fleet set-up kernels (the §7.2 partition's
 // label draws and Algorithm 2's candidate scan), plus the million-client
 // control plane (build_experiment and the trainer's grouping, serial vs a
-// 4-thread pool). Emits BENCH_kernels.json so the kernel perf trajectory is
-// tracked over time.
+// 3-worker pool, whose loops run on 4 threads). Emits BENCH_kernels.json so
+// the kernel perf trajectory is tracked over time.
 //
 //   ./micro_kernels            full timed run (writes BENCH_kernels.json)
 //   ./micro_kernels --smoke    fast correctness-weighted pass for ctest:
@@ -17,8 +17,10 @@
 //                              The full run also enforces per-row speed
 //                              gates (min_speedup in the JSON).
 //
-// Every two-arm row times its arms in alternating rounds and keeps each
-// arm's best, so host load during the run falls on both arms alike.
+// Every two-arm row times its arms in alternating rounds, so host load
+// during the run falls on both arms alike. A row records each arm's best
+// (the gated figure) and its median over every timed call, with the call
+// count: a best far above the median marks a run the host disturbed.
 //
 // GEMM shapes are the paper-relevant ones: the 256³ reference point, the
 // MLP surrogate's forward/backward (eval batch 256, feature 32, hidden 64),
@@ -72,6 +74,10 @@ struct KernelReport {
   double max_rel_err = 0.0;   // optimized vs oracle
   double tolerance = 1e-4;    // smoke gate for max_rel_err (per row)
   double min_speedup = 0.0;   // full-mode speed gate (0 = none)
+  // Medians over every timed call, and calls timed per arm.
+  double naive_median_gflops = 0.0;
+  double opt_median_gflops = 0.0;
+  std::size_t runs = 0;
   std::string note;
 };
 
@@ -91,42 +97,63 @@ double seconds_of(Fn& fn) {
   }
 }
 
-/// Best-of-reps seconds per call; reps shrink to 1 under --smoke.
-template <typename Fn>
-double time_best(Fn&& fn, std::size_t reps) {
-  if (g_smoke.load()) reps = 1;
-  double best = 1e300;
-  for (std::size_t r = 0; r < reps; ++r) {
-    runtime::Timer t;
-    fn();
-    best = std::min(best, t.seconds());
+/// Seconds of every timed call of one arm.
+struct Samples {
+  std::vector<double> seconds;
+
+  [[nodiscard]] double best() const {
+    return *std::min_element(seconds.begin(), seconds.end());
   }
-  return best;
+  [[nodiscard]] double median() const {
+    std::vector<double> sorted = seconds;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t n = sorted.size();
+    return n % 2 == 1 ? sorted[n / 2]
+                      : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
+  }
+};
+
+/// `reps` timed calls of one arm; reps shrink to 1 under --smoke.
+template <typename Fn>
+Samples time_calls(Fn&& fn, std::size_t reps) {
+  if (g_smoke.load()) reps = 1;
+  Samples out;
+  for (std::size_t r = 0; r < reps; ++r) out.seconds.push_back(seconds_of(fn));
+  return out;
 }
 
 struct ArmSeconds {
-  double opt = std::numeric_limits<double>::infinity();
-  double naive = std::numeric_limits<double>::infinity();
+  Samples opt, naive;
 };
 
-/// Best-of-reps seconds per call of two arms that take turns: up to five
-/// rounds, each running a burst of the optimized arm and then a burst of
-/// the naive one, so host load falls on both arms alike while each timed
-/// call still follows a call of its own arm; reps shrink to 1 under
-/// --smoke.
+/// Timed calls of two arms that take turns: up to five rounds, each running
+/// a burst of the optimized arm and then a burst of the naive one, so host
+/// load falls on both arms alike while each timed call still follows a
+/// call of its own arm; reps shrink to 1 under --smoke.
 template <typename Opt, typename Naive>
-ArmSeconds time_best_alternating(Opt&& opt, Naive&& naive, std::size_t reps) {
+ArmSeconds time_alternating(Opt&& opt, Naive&& naive, std::size_t reps) {
   if (g_smoke.load()) reps = 1;
   const std::size_t rounds = std::min<std::size_t>(reps, 5);
   const std::size_t burst = (reps + rounds - 1) / rounds;
-  ArmSeconds best;
+  ArmSeconds t;
   for (std::size_t r = 0; r < rounds; ++r) {
     for (std::size_t i = 0; i < burst; ++i)
-      best.opt = std::min(best.opt, seconds_of(opt));
+      t.opt.seconds.push_back(seconds_of(opt));
     for (std::size_t i = 0; i < burst; ++i)
-      best.naive = std::min(best.naive, seconds_of(naive));
+      t.naive.seconds.push_back(seconds_of(naive));
   }
-  return best;
+  return t;
+}
+
+/// Fills a row's rates from its arms' timings: best-call GF/s (and the
+/// speedup the gates read) plus median-call GF/s and the call count.
+void set_rates(KernelReport& r, const ArmSeconds& t) {
+  r.opt_gflops = r.flops / t.opt.best() * 1e-9;
+  r.naive_gflops = r.flops / t.naive.best() * 1e-9;
+  r.speedup = t.naive.best() / t.opt.best();
+  r.opt_median_gflops = r.flops / t.opt.median() * 1e-9;
+  r.naive_median_gflops = r.flops / t.naive.median() * 1e-9;
+  r.runs = t.opt.seconds.size();
 }
 
 void fill_random(nn::Tensor& t, runtime::Rng& rng) {
@@ -184,10 +211,8 @@ KernelReport bench_gemm(const std::string& name, int variant, std::size_t m,
   opt();  // warms the workspace arena; result reused for the error check
   naive();
   r.max_rel_err = max_rel_error(out, ref);
-  const ArmSeconds t = time_best_alternating(opt, naive, reps);
-  r.opt_gflops = r.flops / t.opt * 1e-9;
-  r.naive_gflops = r.flops / t.naive * 1e-9;
-  r.speedup = r.opt_gflops / r.naive_gflops;
+  const ArmSeconds t = time_alternating(opt, naive, reps);
+  set_rates(r, t);
   return r;
 }
 
@@ -228,12 +253,10 @@ std::pair<KernelReport, KernelReport> bench_conv(
   nn::Tensor got = conv.forward(x, /*train=*/false);
   const nn::Tensor want = nn::conv_reference_forward(x, weight, bias, pad);
   fwd.max_rel_err = max_rel_error(got, want);
-  const ArmSeconds ft = time_best_alternating(
+  const ArmSeconds ft = time_alternating(
       [&] { got = conv.forward(x, false); },
       [&] { (void)nn::conv_reference_forward(x, weight, bias, pad); }, reps);
-  fwd.opt_gflops = fwd.flops / ft.opt * 1e-9;
-  fwd.naive_gflops = fwd.flops / ft.naive * 1e-9;
-  fwd.speedup = fwd.opt_gflops / fwd.naive_gflops;
+  set_rates(fwd, ft);
 
   KernelReport bwd;
   bwd.name = name + "_bwd";
@@ -247,7 +270,7 @@ std::pair<KernelReport, KernelReport> bench_conv(
   (void)conv.forward(x, true);
   const nn::Tensor got_gin = conv.backward(gout);
   bwd.max_rel_err = max_rel_error(got_gin, ref_gin);
-  const ArmSeconds bt = time_best_alternating(
+  const ArmSeconds bt = time_alternating(
       [&] {
         (void)conv.forward(x, true);
         (void)conv.backward(gout);
@@ -257,9 +280,7 @@ std::pair<KernelReport, KernelReport> bench_conv(
                                           ref_gb);
       },
       reps);
-  bwd.opt_gflops = bwd.flops / bt.opt * 1e-9;
-  bwd.naive_gflops = bwd.flops / bt.naive * 1e-9;
-  bwd.speedup = bwd.opt_gflops / bwd.naive_gflops;
+  set_rates(bwd, bt);
   bwd.note = "optimized timing includes the paired forward (activation cache)";
   return {fwd, bwd};
 }
@@ -290,10 +311,8 @@ KernelReport bench_secagg_mask(std::size_t n, std::size_t reps) {
   r.max_rel_err = static_cast<double>(mismatches) / static_cast<double>(n);
   r.tolerance = 0.0;
   r.min_speedup = 3.0;
-  const ArmSeconds t = time_best_alternating(opt, naive, reps);
-  r.opt_gflops = r.flops / t.opt * 1e-9;
-  r.naive_gflops = r.flops / t.naive * 1e-9;
-  r.speedup = r.opt_gflops / r.naive_gflops;
+  const ArmSeconds t = time_alternating(opt, naive, reps);
+  set_rates(r, t);
   r.note = "replaces the former single-implementation row; Gelem/s of "
            "field elements; error is the mismatch share (exact match "
            "required)";
@@ -338,10 +357,8 @@ KernelReport bench_synth_normals(std::size_t n, std::size_t samples,
       static_cast<double>(mismatches) / static_cast<double>(naive_out.size());
   r.tolerance = 0.0;
   r.min_speedup = 2.0;
-  const ArmSeconds t = time_best_alternating(opt, naive, reps);
-  r.opt_gflops = r.flops / t.opt * 1e-9;
-  r.naive_gflops = r.flops / t.naive * 1e-9;
-  r.speedup = r.opt_gflops / r.naive_gflops;
+  const ArmSeconds t = time_alternating(opt, naive, reps);
+  set_rates(r, t);
   r.note = "Gfloat/s of noised sample floats; error is the mismatch share "
            "(exact match required)";
   return r;
@@ -416,10 +433,8 @@ KernelReport bench_partition_categorical(std::size_t clients,
       static_cast<double>(mismatches) / static_cast<double>(clients);
   r.tolerance = 0.0;
   r.min_speedup = 2.0;
-  const ArmSeconds t = time_best_alternating(opt, naive, reps);
-  r.opt_gflops = r.flops / t.opt * 1e-9;
-  r.naive_gflops = r.flops / t.naive * 1e-9;
-  r.speedup = r.opt_gflops / r.naive_gflops;
+  const ArmSeconds t = time_alternating(opt, naive, reps);
+  set_rates(r, t);
   r.note = "Gdraw/s of label draws; error is the mismatch share of clients' "
            "histograms and final stream states (exact match required)";
   return r;
@@ -515,10 +530,8 @@ KernelReport bench_cov_greedy_edge(std::size_t clients, std::size_t reps) {
   r.max_rel_err = naive_groups == opt_groups ? 0.0 : 1.0;
   r.tolerance = 0.0;
   r.min_speedup = 1.6;
-  const ArmSeconds t = time_best_alternating(opt, naive, reps);
-  r.opt_gflops = r.flops / t.opt * 1e-9;
-  r.naive_gflops = r.flops / t.naive * 1e-9;
-  r.speedup = r.opt_gflops / r.naive_gflops;
+  const ArmSeconds t = time_alternating(opt, naive, reps);
+  set_rates(r, t);
   r.note = "Gclients/s grouped on one edge; error is 1 unless the groupings "
            "are identical";
   return r;
@@ -538,15 +551,14 @@ KernelReport bench_flame_cosine(std::size_t clients, std::size_t dim,
   r.flops = 2.0 * static_cast<double>(clients) *
             static_cast<double>(clients) * static_cast<double>(dim);
   double sink = 0.0;
-  const double secs = time_best(
+  const Samples secs = time_calls(
       [&] {
         const auto m = backdoor::pairwise_cosine_distance(updates);
         sink += m[0][clients - 1];
       },
       reps);
   if (sink > 1e30) std::cout << "";
-  r.naive_gflops = r.opt_gflops = r.flops / secs * 1e-9;
-  r.speedup = 1.0;
+  set_rates(r, {secs, secs});
   r.note = "single implementation (tracked)";
   return r;
 }
@@ -554,7 +566,8 @@ KernelReport bench_flame_cosine(std::size_t clients, std::size_t dim,
 /// Fleet control plane — build_experiment (descriptor partition, test set)
 /// plus the GroupFelTrainer constructor (label matrix, per-edge windowed
 /// CoV grouping, Eq. 34 probabilities) on kLazy clients, ~10k per edge.
-/// Naive is an inline pool (serial), optimized a 4-thread pool; both use
+/// Naive is an inline pool (serial), optimized a 3-worker pool whose loops
+/// run on 4 threads (the caller joins them); both use
 /// parallel_windows, whose groups are pool-size invariant, so the error
 /// column is the share of mismatched groups and probabilities (exact match
 /// required). The speed gate needs 4 hardware threads to mean anything.
@@ -589,7 +602,7 @@ KernelReport bench_control_plane(std::size_t clients) {
     std::vector<core::FormedGroup> groups;
     std::vector<double> probabilities;
   };
-  runtime::ThreadPool serial_pool(0), quad_pool(4);
+  runtime::ThreadPool serial_pool(0), quad_pool(3);
   // The timed set-up; its experiment and trainer are handed back so that
   // their teardown falls outside the clock.
   const auto set_up = [&](runtime::ThreadPool& pool) {
@@ -611,7 +624,7 @@ KernelReport bench_control_plane(std::size_t clients) {
   // runs.
   const Arm serial = untimed(serial_pool);
   const Arm pooled = untimed(quad_pool);
-  const ArmSeconds t = time_best_alternating(
+  const ArmSeconds t = time_alternating(
       [&] { return set_up(quad_pool); }, [&] { return set_up(serial_pool); },
       3);
 
@@ -639,12 +652,11 @@ KernelReport bench_control_plane(std::size_t clients) {
                          : static_cast<double>(mismatches) /
                                static_cast<double>(n);
   r.tolerance = 0.0;
-  r.naive_gflops = r.flops / t.naive * 1e-9;
-  r.opt_gflops = r.flops / t.opt * 1e-9;
-  r.speedup = t.naive / t.opt;
+  set_rates(r, t);
   const unsigned hw = std::thread::hardware_concurrency();
-  r.note = "Gclients/s of set-up, pool 0 vs pool 4; error is the mismatch "
-           "share of groups and Eq. 34 probabilities (exact match required)";
+  r.note = "Gclients/s of set-up, 1 thread vs 4 (pool 0 vs pool 3); error "
+           "is the mismatch share of groups and Eq. 34 probabilities (exact "
+           "match required)";
   if (hw >= 4) {
     r.min_speedup = 1.8;
   } else {
@@ -666,6 +678,11 @@ void write_json(const std::vector<KernelReport>& reports,
         << ", \"naive_gflops\": " << util::format_double(r.naive_gflops)
         << ", \"opt_gflops\": " << util::format_double(r.opt_gflops)
         << ", \"speedup\": " << util::format_double(r.speedup)
+        << ", \"naive_median_gflops\": "
+        << util::format_double(r.naive_median_gflops)
+        << ", \"opt_median_gflops\": "
+        << util::format_double(r.opt_median_gflops)
+        << ", \"runs\": " << r.runs
         << ", \"max_rel_err\": " << util::format_double(r.max_rel_err)
         << ", \"tolerance\": " << util::format_double(r.tolerance);
     if (r.min_speedup > 0.0)
@@ -740,13 +757,15 @@ int main(int argc, char** argv) {
 
   std::cout << util::ascii_table(
       "Kernel microbenchmarks (naive vs optimized)",
-      {"kernel", "shape", "naive GF/s", "opt GF/s", "speedup", "max rel err"},
+      {"kernel", "shape", "naive GF/s", "opt GF/s", "opt median", "runs",
+       "speedup", "max rel err"},
       [&] {
         std::vector<std::vector<std::string>> rows;
         for (const auto& r : reports)
           rows.push_back({r.name, r.shape, util::fixed(r.naive_gflops, 2),
                           util::fixed(r.opt_gflops, 2),
-                          util::fixed(r.speedup, 2),
+                          util::fixed(r.opt_median_gflops, 2),
+                          std::to_string(r.runs), util::fixed(r.speedup, 2),
                           util::format_double(r.max_rel_err)});
         return rows;
       }());

@@ -80,9 +80,13 @@ void ScaffoldRule::on_global_round_end() {
   std::sort(pending_ids_.begin(), pending_ids_.end());
   if (c_.empty()) c_.assign(pending_[pending_ids_.front()].size(), 0.0f);
   const float inv_n = 1.0f / static_cast<float>(num_clients_);
-  for (const std::size_t cid : pending_ids_)
+  for (const std::size_t cid : pending_ids_) {
     for (std::size_t i = 0; i < c_.size(); ++i)
       c_[i] += pending_[cid][i] * inv_n;
+    // Folded: release the slot (the next round re-stages it from zero), so
+    // a trainer holds no staged deltas between rounds.
+    std::vector<float>().swap(pending_[cid]);
+  }
   pending_ids_.clear();
 }
 

@@ -50,7 +50,7 @@ class ScaffoldRule final : public LocalUpdateRule {
   /// group rounds a client trains in). Folding them into c_ in ascending
   /// client order at round end keeps the floating-point sum independent of
   /// the order concurrent clients finish — bit-identical for any pool size
-  /// and any cell scheduling.
+  /// and any cell scheduling. A slot is freed once folded.
   std::vector<std::vector<float>> pending_ GF_GUARDED_BY(mu_);
   std::vector<std::size_t> pending_ids_ GF_GUARDED_BY(mu_);
   /// Round epoch a slot was staged in.

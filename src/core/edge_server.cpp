@@ -15,7 +15,7 @@ std::vector<std::size_t> group_size_histogram(
   const std::size_t n = groups.size();
   const std::size_t blocks = (n + kBlock - 1) / kBlock;
   const auto run_blocks = [&](const std::function<void(std::size_t)>& body) {
-    if (pool != nullptr && pool->size() > 1 && blocks > 1) {
+    if (pool != nullptr && pool->size() > 0 && blocks > 1) {
       pool->parallel_for(blocks, body);
     } else {
       for (std::size_t bi = 0; bi < blocks; ++bi) body(bi);

@@ -55,8 +55,7 @@ EvalResult evaluate(nn::Model& model, const data::DataSet& test,
   // reduction below runs in fixed batch order, so the result is
   // bit-identical to the serial path for any pool size.
   if (pool == nullptr) pool = &runtime::ThreadPool::global();
-  const std::size_t chunks = std::min(
-      pool->size() > 0 ? pool->size() : std::size_t{1}, num_batches);
+  const std::size_t chunks = std::min(pool->size() + 1, num_batches);
   if (chunks <= 1) {
     for (std::size_t bi = 0; bi < num_batches; ++bi) {
       const std::size_t start = bi * batch_size;

@@ -93,7 +93,7 @@ void GroupFelTrainer::form_groups(runtime::Rng& rng) {
         edge_servers_[e].form_groups(label_matrix_, cfg_.grouping,
                                      cfg_.grouping_params, edge_rng, pool_);
   };
-  if (pool_->size() > 1 && num_edges > 1) {
+  if (pool_->size() > 0 && num_edges > 1) {
     pool_->parallel_for(num_edges, run_edge);
   } else {
     for (std::size_t e = 0; e < num_edges; ++e) run_edge(e);

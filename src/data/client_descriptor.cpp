@@ -108,7 +108,7 @@ ClientPopulation descriptor_partition(const PartitionSpec& spec,
     std::vector<double> props(runtime::kCategoricalLanes * num_classes);
     partition_block(pop, spec, rng, i0, i1, props);
   };
-  if (pool != nullptr && pool->size() > 1 && blocks > 1) {
+  if (pool != nullptr && pool->size() > 0 && blocks > 1) {
     pool->parallel_for(blocks, fill_block);
   } else {
     for (std::size_t bi = 0; bi < blocks; ++bi) fill_block(bi);

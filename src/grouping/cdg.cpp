@@ -32,7 +32,7 @@ Grouping cdg_grouping(const data::LabelMatrix& matrix,
   const std::size_t num_groups = std::max<std::size_t>(1, n / gs);
   const std::size_t blocks = (n + kClientBlock - 1) / kClientBlock;
   const auto for_each_block = [&](const std::function<void(std::size_t)>& body) {
-    if (pool != nullptr && pool->size() > 1 && blocks > 1) {
+    if (pool != nullptr && pool->size() > 0 && blocks > 1) {
       pool->parallel_for(blocks, body);
     } else {
       for (std::size_t bi = 0; bi < blocks; ++bi) body(bi);

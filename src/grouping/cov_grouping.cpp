@@ -111,7 +111,7 @@ Grouping cov_grouping(const data::LabelMatrix& matrix,
     runtime::Rng wrng = rng.fork(w);
     greedy_over_pool(matrix, params, wrng, window_items(w), per_window[w]);
   };
-  if (pool != nullptr && pool->size() > 1 && num_windows > 1) {
+  if (pool != nullptr && pool->size() > 0 && num_windows > 1) {
     pool->parallel_for(num_windows, run_window);
   } else {
     for (std::size_t w = 0; w < num_windows; ++w) run_window(w);

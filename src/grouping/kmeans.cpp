@@ -27,12 +27,12 @@ double sq_dist(const double* a, const double* b, std::size_t dim) {
 constexpr std::size_t kPointBlock = 4096;
 
 /// Runs body(block_index) over ceil(n / kPointBlock) blocks, parallel when
-/// a pool with >1 worker is supplied.
+/// a pool with at least one worker is supplied.
 template <typename Body>
 void for_each_block(std::size_t n, runtime::ThreadPool* pool,
                     const Body& body) {
   const std::size_t blocks = (n + kPointBlock - 1) / kPointBlock;
-  if (pool != nullptr && pool->size() > 1 && blocks > 1) {
+  if (pool != nullptr && pool->size() > 0 && blocks > 1) {
     pool->parallel_for(blocks, body);
   } else {
     for (std::size_t bi = 0; bi < blocks; ++bi) body(bi);

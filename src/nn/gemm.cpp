@@ -540,7 +540,7 @@ void gemm_impl_fp32(std::size_t m, std::size_t n, std::size_t k, MatView a,
       pack_b(b, pc, kc, jc, nc, b_buf.data());
 
       const std::size_t panels = ceil_div(m, MC);
-      const bool parallel = pool.size() > 1 && panels > 1 &&
+      const bool parallel = pool.size() > 0 && panels > 1 &&
                             m * nc * kc >= kParallelFlops * panels;
       if (parallel) {
         // Disjoint C row panels + fixed per-element accumulation order keep

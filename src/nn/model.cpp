@@ -155,7 +155,7 @@ void weighted_average_into(std::span<float> out,
     }
   };
   const std::size_t blocks = (dim + kReduceBlock - 1) / kReduceBlock;
-  if (pool != nullptr && pool->size() > 1 && blocks > 1) {
+  if (pool != nullptr && pool->size() > 0 && blocks > 1) {
     pool->parallel_for(blocks, reduce_block);
   } else {
     for (std::size_t bi = 0; bi < blocks; ++bi) reduce_block(bi);

@@ -26,11 +26,11 @@ class SweepScheduler {
  public:
   explicit SweepScheduler(ThreadPool& pool) noexcept : pool_(pool) {}
 
-  /// Runs body(i) for every cell i in [0, n) over the pool: concurrently
-  /// (the caller participates), or serially in index order on a 0-thread
-  /// pool — the reference execution the concurrent path must match bit for
-  /// bit. Blocks until every cell finished. Exceptions propagate like
-  /// ThreadPool::parallel_for.
+  /// Runs body(i) for every cell i in [0, n) over the pool: concurrently,
+  /// up to size() + 1 cells at once (the caller runs cells beside every
+  /// worker), or serially in index order on a 0-thread pool — the reference
+  /// execution the concurrent path must match bit for bit. Blocks until
+  /// every cell finished. Exceptions propagate like ThreadPool::parallel_for.
   void run(std::size_t n, const std::function<void(std::size_t)>& body) {
     {
       util::MutexLock lock(progress_mu_);

@@ -87,7 +87,7 @@ template <typename Body>
 void for_each_group_block(std::size_t n, runtime::ThreadPool* pool,
                           const Body& body) {
   const std::size_t blocks = (n + kGroupBlock - 1) / kGroupBlock;
-  if (pool != nullptr && pool->size() > 1 && blocks > 1) {
+  if (pool != nullptr && pool->size() > 0 && blocks > 1) {
     pool->parallel_for(blocks, body);
   } else {
     for (std::size_t bi = 0; bi < blocks; ++bi) body(bi);

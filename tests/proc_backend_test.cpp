@@ -23,6 +23,7 @@
 #include "core/sweep_journal.hpp"
 #include "runtime/proc/subprocess.hpp"
 #include "runtime/proc/wire.hpp"
+#include "support/temp_path.hpp"
 
 namespace groupfel {
 namespace {
@@ -152,9 +153,9 @@ TEST(ProcBackend, BitIdenticalToSerialAndInProcess) {
   const core::SweepRunResult in_process = core::run_sweep(cells, inproc);
   expect_sweeps_identical(reference, in_process);
 
-  const char* path = "/tmp/groupfel_proc_journal_test.bin";
+  const std::string path = test_support::temp_path(".bin");
   for (const std::size_t workers : {1UL, 4UL}) {
-    std::remove(path);
+    std::remove(path.c_str());
     core::SweepOptions opts;
     opts.backend = core::SweepBackend::kProcess;
     opts.workers = workers;
@@ -173,7 +174,7 @@ TEST(ProcBackend, BitIdenticalToSerialAndInProcess) {
     for (std::size_t i = 0; i < cells.size(); ++i)
       expect_cells_byte_identical(reference.cells[i], resumed.cells[i]);
   }
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(ProcBackend, WorkerRunsMultipleCellsWithSharedSpecCache) {
@@ -189,7 +190,7 @@ TEST(ProcBackend, WorkerRunsMultipleCellsWithSharedSpecCache) {
 }
 
 TEST(ProcBackend, ResumeRunsOnlyMissingCells) {
-  const char* path = "/tmp/groupfel_resume_test.bin";
+  const std::string path = test_support::temp_path(".bin");
   const std::vector<core::SweepCell> cells = tiny_cells();
   const core::SweepRunResult reference = run_serial_reference(cells);
 
@@ -233,11 +234,11 @@ TEST(ProcBackend, ResumeRunsOnlyMissingCells) {
     expect_cells_byte_identical(reference.cells[i], resumed.cells[i]);
   // The rewrite-on-open healed the torn tail: journal is whole again.
   EXPECT_EQ(journal_records(path), cells.size());
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(ProcBackend, ResumeRejectsJournalFromDifferentSweep) {
-  const char* path = "/tmp/groupfel_resume_mismatch_test.bin";
+  const std::string path = test_support::temp_path(".bin");
   std::vector<core::SweepCell> cells = tiny_cells();
   {
     runtime::ThreadPool inline_pool(0);
@@ -253,7 +254,7 @@ TEST(ProcBackend, ResumeRejectsJournalFromDifferentSweep) {
   opts.checkpoint_path = path;
   opts.resume = true;
   EXPECT_THROW((void)core::run_sweep(cells, opts), std::runtime_error);
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(ProcBackend, WorkerKilledAtSpawnIsADiagnosableError) {
@@ -362,8 +363,8 @@ TEST(ProcBackend, WriteToClosedPipeIsASystemError) {
 }
 
 TEST(ProcBackend, WorkerKilledMidSweepKeepsCompletedCellsInJournal) {
-  const char* path = "/tmp/groupfel_crash_journal_test.bin";
-  std::remove(path);
+  const std::string path = test_support::temp_path(".bin");
+  std::remove(path.c_str());
   const std::vector<core::SweepCell> cells = front_loaded_cells(4, 150);
   const core::SweepRunResult reference = run_serial_reference(cells);
 
@@ -401,24 +402,23 @@ TEST(ProcBackend, WorkerKilledMidSweepKeepsCompletedCellsInJournal) {
   ASSERT_EQ(retained.size(), kept);
   for (const auto& [index, result] : retained)
     expect_cells_byte_identical(reference.cells[index], result);
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(ProcBackend, KilledSweepResumesByteIdentical) {
-  const char* path = "/tmp/groupfel_kill_resume_test.bin";
-  std::remove(path);
+  const std::string path = test_support::temp_path(".bin");
+  std::remove(path.c_str());
   const std::vector<core::SweepCell> cells = front_loaded_cells(4, 150);
   const core::SweepRunResult reference = run_serial_reference(cells);
 
   // Child process runs the journaled process-backend sweep; we SIGKILL it
   // once the first record is durable — exactly the crash --resume exists
   // for. Its orphaned worker exits on pipe EOF (sibling-fd discipline).
-  const std::string journal_path = path;
   proc::Subprocess sweep = proc::Subprocess::spawn([&](int, int) {
     core::SweepOptions opts;
     opts.backend = core::SweepBackend::kProcess;
     opts.workers = 1;
-    opts.checkpoint_path = journal_path;
+    opts.checkpoint_path = path;
     (void)core::run_sweep(cells, opts);
     return 0;
   });
@@ -440,7 +440,7 @@ TEST(ProcBackend, KilledSweepResumesByteIdentical) {
   for (std::size_t i = 0; i < cells.size(); ++i)
     expect_cells_byte_identical(reference.cells[i], resumed.cells[i]);
   EXPECT_EQ(journal_records(path), cells.size());
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 }  // namespace

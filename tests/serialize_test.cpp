@@ -7,86 +7,91 @@
 
 #include "nn/models.hpp"
 #include "runtime/rng.hpp"
+#include "support/temp_path.hpp"
 
 namespace groupfel::nn {
 namespace {
 
-const char* kPath = "/tmp/groupfel_checkpoint_test.bin";
-
 TEST(Checkpoint, RoundTripsParameters) {
+  const std::string path = test_support::temp_path(".bin");
   runtime::Rng rng(1);
   Model m = make_mlp(8, 16, 4);
   m.init(rng);
   const std::vector<float> params = m.flat_parameters();
-  save_checkpoint(kPath, params);
-  const std::vector<float> loaded = load_checkpoint(kPath);
+  save_checkpoint(path, params);
+  const std::vector<float> loaded = load_checkpoint(path);
   EXPECT_EQ(loaded, params);
-  std::remove(kPath);
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RoundTripsEmptyVector) {
-  save_checkpoint(kPath, std::vector<float>{});
-  EXPECT_TRUE(load_checkpoint(kPath).empty());
-  std::remove(kPath);
+  const std::string path = test_support::temp_path(".bin");
+  save_checkpoint(path, std::vector<float>{});
+  EXPECT_TRUE(load_checkpoint(path).empty());
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, LoadedModelPredictsIdentically) {
+  const std::string path = test_support::temp_path(".bin");
   runtime::Rng rng(2);
   Model m = make_mlp(6, 12, 3);
   m.init(rng);
-  save_checkpoint(kPath, m.flat_parameters());
+  save_checkpoint(path, m.flat_parameters());
 
   Model fresh = make_mlp(6, 12, 3);
-  fresh.set_flat_parameters(load_checkpoint(kPath));
+  fresh.set_flat_parameters(load_checkpoint(path));
   Tensor x({3, 6});
   for (auto& v : x.data()) v = static_cast<float>(rng.normal());
   const Tensor a = m.forward(x, false);
   const Tensor b = fresh.forward(x, false);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  std::remove(kPath);
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RejectsMissingFile) {
-  EXPECT_THROW((void)load_checkpoint("/tmp/does_not_exist_groupfel.bin"),
+  EXPECT_THROW((void)load_checkpoint(test_support::temp_path(".missing")),
                std::runtime_error);
 }
 
 TEST(Checkpoint, RejectsBadMagic) {
-  std::ofstream out(kPath, std::ios::binary);
+  const std::string path = test_support::temp_path(".bin");
+  std::ofstream out(path, std::ios::binary);
   const std::uint64_t junk[3] = {0xdeadbeef, 4, 0};
   out.write(reinterpret_cast<const char*>(junk), sizeof(junk));
   const float data[4] = {1, 2, 3, 4};
   out.write(reinterpret_cast<const char*>(data), sizeof(data));
   out.close();
-  EXPECT_THROW((void)load_checkpoint(kPath), std::runtime_error);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_checkpoint(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RejectsTruncation) {
-  save_checkpoint(kPath, std::vector<float>(64, 1.0f));
+  const std::string path = test_support::temp_path(".bin");
+  save_checkpoint(path, std::vector<float>(64, 1.0f));
   // Truncate the file to cut into the data section.
   {
-    std::ifstream in(kPath, std::ios::binary);
+    std::ifstream in(path, std::ios::binary);
     std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
     bytes.resize(bytes.size() - 16);
-    std::ofstream out(kPath, std::ios::binary | std::ios::trunc);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  EXPECT_THROW((void)load_checkpoint(kPath), std::runtime_error);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_checkpoint(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RejectsCorruptedData) {
-  save_checkpoint(kPath, std::vector<float>(64, 1.0f));
+  const std::string path = test_support::temp_path(".bin");
+  save_checkpoint(path, std::vector<float>(64, 1.0f));
   {
-    std::fstream f(kPath, std::ios::binary | std::ios::in | std::ios::out);
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(24 + 13);  // somewhere in the data section
     const char flip = 0x7f;
     f.write(&flip, 1);
   }
-  EXPECT_THROW((void)load_checkpoint(kPath), std::runtime_error);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_checkpoint(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(Fnv1a, KnownValues) {

@@ -1,13 +1,17 @@
 // Zero steady-state heap allocations in the minibatch pipeline: once its
 // caller-owned Batch and the thread-local SGD scratch are warm, gather_into
 // and run_local_sgd must not touch the allocator. Also: a lazy store's
-// label matrix allocates no table.
+// label matrix allocates no table, and SCAFFOLD holds no staged deltas
+// between rounds.
 //
 // Counting replaces the process-wide global operator new, so this file is
 // its own test binary: every allocation in the process goes through the
 // counter, and deltas around a measured call give its allocation traffic.
-// Counting only; the storage still comes from malloc.
+// The live-byte count adds and subtracts malloc_usable_size, so it tracks
+// what operator new holds right now. Counting only; the storage still
+// comes from malloc.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -17,31 +21,42 @@
 #include <vector>
 
 #include "algorithms/local_trainer.hpp"
+#include "algorithms/scaffold.hpp"
 #include "core/experiment.hpp"
 #include "nn/tensor.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocs{0};
 std::atomic<std::size_t> g_alloc_bytes{0};
+std::atomic<std::size_t> g_live_bytes{0};
+
+void release(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (void* p = std::malloc(n ? n : 1)) {
+    g_live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
+    return p;
+  }
   throw std::bad_alloc();
 }
 // Counting replacement of the global allocator, not an ownership site.
 void* operator new[](std::size_t n) { return operator new(n); }  // lint:allow(naked-new)
 // Not inlined: GCC would otherwise pair gtest's `new TestClass` with the
 // inlined free() and report -Wmismatched-new-delete under sanitizer builds.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { release(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { release(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  release(p);
 }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace groupfel {
@@ -50,6 +65,9 @@ namespace {
 std::size_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 std::size_t alloc_bytes() {
   return g_alloc_bytes.load(std::memory_order_relaxed);
+}
+std::size_t live_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed);
 }
 
 core::Experiment small_experiment() {
@@ -121,6 +139,37 @@ TEST(SteadyStateAllocs, LazyLabelMatrixAllocatesNoTable) {
   const data::LabelMatrix matrix = exp.topology.clients.label_matrix();
   EXPECT_LT(alloc_bytes() - b0, 1024u);
   EXPECT_EQ(matrix.num_clients(), spec.num_clients);
+}
+
+TEST(SteadyStateAllocs, ScaffoldFreesStagedDeltasAtRoundEnd) {
+  // Each client SCAFFOLD trains stages a dim-float delta until the round
+  // end folds it into c. Once folded, the staged deltas must be freed: a
+  // trainer between rounds keeps only c and the clients' c_i.
+  const core::Experiment exp = small_experiment();
+  const auto& shards = exp.topology.clients.shards();
+  algorithms::LocalTrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = 8;
+  cfg.lr = 0.05f;
+
+  nn::Model model = exp.topology.model_factory();
+  runtime::Rng init(5);
+  model.init(init);
+  const std::vector<float> reference = model.flat_parameters();
+  algorithms::ScaffoldRule rule(shards.size());
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t cid = 0; cid < shards.size(); ++cid) {
+      model.set_flat_parameters(reference);
+      runtime::Rng rng(100 + cid);
+      (void)rule.train_client(model, shards[cid], reference, cid, cfg, rng);
+    }
+    const std::size_t before = live_bytes();
+    rule.on_global_round_end();
+    const std::size_t staged =
+        shards.size() * model.param_count() * sizeof(float);
+    EXPECT_GE(before - std::min(before, live_bytes()), staged)
+        << "round " << round;
+  }
 }
 
 }  // namespace

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -31,6 +35,36 @@ TEST(ThreadPoolEdge, ZeroSizeLoopAfterRealWorkIsStillNoop) {
   pool.parallel_for(64, [&](std::size_t) { calls.fetch_add(1); });
   pool.parallel_for(0, [&](std::size_t) { calls.fetch_add(1000); });
   EXPECT_EQ(calls.load(), 64);
+}
+
+TEST(ThreadPoolEdge, LoopRunsOnCallerAndEveryWorker) {
+  // The thread contract: a loop of n > size() iterations runs on the caller
+  // and every worker, size() + 1 threads. Each body records its thread and
+  // then waits until size() + 1 distinct threads have checked in (or a 10 s
+  // deadline passes), so no thread can drain the loop alone.
+  for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    ThreadPool pool(workers);
+    const std::size_t want = workers + 1;
+    std::mutex mu;
+    std::set<std::thread::id> seen;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    pool.parallel_for(4 * want, [&](std::size_t) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        seen.insert(std::this_thread::get_id());
+      }
+      for (;;) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (seen.size() >= want) return;
+        }
+        if (std::chrono::steady_clock::now() > deadline) return;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+    EXPECT_EQ(seen.size(), want) << "workers = " << workers;
+  }
 }
 
 TEST(ThreadPoolEdge, NestedSubmissionCompletes) {

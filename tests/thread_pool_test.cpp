@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace groupfel::runtime {
@@ -89,7 +91,10 @@ TEST(ThreadPool, ReusableAcrossCalls) {
 }
 
 TEST(ThreadPool, GlobalPoolExists) {
-  EXPECT_GE(ThreadPool::global().size(), 1u);
+  // hw - 1 workers plus the caller: one loop thread per hardware thread.
+  const std::size_t hw =
+      std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(ThreadPool::global().size() + 1, hw);
   std::atomic<int> sum{0};
   ThreadPool::global().parallel_for(10, [&](std::size_t) { sum.fetch_add(1); });
   EXPECT_EQ(sum.load(), 10);

@@ -9,6 +9,7 @@
 #include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "util/format.hpp"
+#include "support/temp_path.hpp"
 
 namespace groupfel::util {
 namespace {
@@ -31,7 +32,7 @@ TEST(FormatDouble, RoundTrips) {
 }
 
 TEST(CsvWriter, WritesHeaderAndRows) {
-  const std::string path = "/tmp/groupfel_csv_test.csv";
+  const std::string path = test_support::temp_path(".csv");
   {
     CsvWriter csv(path, {"x", "y"});
     csv.row({1.0, 2.0});
@@ -50,7 +51,7 @@ TEST(CsvWriter, WritesHeaderAndRows) {
 }
 
 TEST(CsvWriter, MixedStringRows) {
-  const std::string path = "/tmp/groupfel_csv_test2.csv";
+  const std::string path = test_support::temp_path(".csv");
   {
     CsvWriter csv(path, {"method", "value"});
     csv.row_strings({"Group-FEL", "0.65"});
@@ -65,19 +66,21 @@ TEST(CsvWriter, MixedStringRows) {
 }
 
 TEST(CsvWriter, RejectsArityMismatch) {
-  CsvWriter csv("/tmp/groupfel_csv_test3.csv", {"a", "b"});
+  const std::string path = test_support::temp_path(".csv");
+  CsvWriter csv(path, {"a", "b"});
   EXPECT_THROW(csv.row({1.0}), std::invalid_argument);
   EXPECT_THROW(csv.row_strings({"x", "y", "z"}), std::invalid_argument);
   csv.flush();
-  std::remove("/tmp/groupfel_csv_test3.csv");
+  std::remove(path.c_str());
 }
 
 TEST(CsvWriter, RejectsEmptyColumns) {
-  EXPECT_THROW(CsvWriter("/tmp/x.csv", {}), std::invalid_argument);
+  EXPECT_THROW(CsvWriter(test_support::temp_path(".csv"), {}),
+               std::invalid_argument);
 }
 
 TEST(CsvWriter, FlushesOnDestruction) {
-  const std::string path = "/tmp/groupfel_csv_test4.csv";
+  const std::string path = test_support::temp_path(".csv");
   {
     CsvWriter csv(path, {"a"});
     csv.row({7.0});
