@@ -477,7 +477,7 @@ void scalar_scan_greedy(const data::LabelMatrix& matrix,
 }
 
 /// Algorithm 2 on one fleet_1m edge: 10k clients, window 256, MinGS 100,
-/// parallel_windows streams, run serially in both arms. Naive runs the
+/// one stream per window, run serially in both arms. Naive runs the
 /// scalar candidate scan; optimized is grouping::cov_grouping with its
 /// register-wide lane scan. The groupings must be identical (error = 1
 /// otherwise).
@@ -496,7 +496,6 @@ KernelReport bench_cov_greedy_edge(std::size_t clients, std::size_t reps) {
   grouping::GroupingParams params;
   params.min_group_size = 100;
   params.greedy_window = 256;
-  params.parallel_windows = true;
 
   grouping::Grouping naive_groups, opt_groups;
   const auto naive = [&] {
@@ -567,10 +566,9 @@ KernelReport bench_flame_cosine(std::size_t clients, std::size_t dim,
 /// plus the GroupFelTrainer constructor (label matrix, per-edge windowed
 /// CoV grouping, Eq. 34 probabilities) on kLazy clients, ~10k per edge.
 /// Naive is an inline pool (serial), optimized a 3-worker pool whose loops
-/// run on 4 threads (the caller joins them); both use
-/// parallel_windows, whose groups are pool-size invariant, so the error
-/// column is the share of mismatched groups and probabilities (exact match
-/// required). The speed gate needs 4 hardware threads to mean anything.
+/// run on 4 threads (the caller joins them); the windowed greedy's groups
+/// are pool-size invariant, so the error column is the share of mismatched
+/// groups and probabilities (exact match required). The speed gate needs 4 hardware threads to mean anything.
 KernelReport bench_control_plane(std::size_t clients) {
   core::ExperimentSpec spec;
   spec.num_clients = clients;
@@ -594,7 +592,6 @@ KernelReport bench_control_plane(std::size_t clients) {
   cfg.grouping = grouping::GroupingMethod::kCov;
   cfg.grouping_params.min_group_size = 100;
   cfg.grouping_params.greedy_window = 256;
-  cfg.grouping_params.parallel_windows = true;
   cfg.sampling = sampling::SamplingMethod::kESRCov;
   cfg.seed = 42;
 

@@ -24,20 +24,26 @@ namespace groupfel::core {
 
 enum class LocalRule { kSgd, kFedProx, kScaffold };
 
+/// FedProx's proximal coefficient mu.
+inline constexpr float kFedProxMu = 0.1f;
+/// FedCLAR's cosine-distance linkage threshold.
+inline constexpr double kFedClarMergeThreshold = 0.35;
+/// A poisoned update is -kBackdoorAttackScale times the honest update.
+inline constexpr double kBackdoorAttackScale = 3.0;
+
 struct FedClarConfig {
   bool enabled = false;
   std::size_t cluster_round = 10;    ///< round at which clustering happens
-  double merge_threshold = 0.35;     ///< cosine-distance linkage threshold
 };
 
 /// Backdoor threat model + defense. When `attack` is on, clients flagged
 /// malicious in FederationTopology::malicious submit poisoned updates
-/// (sign-flipped and scaled). When `defense` is on, every group aggregation
-/// runs the FLAME filter (backdoor/flame.hpp) instead of plain weighted
-/// averaging — the very group operation whose cost Fig. 2(a) measures.
+/// (sign-flipped and scaled by kBackdoorAttackScale). When `defense` is on,
+/// every group aggregation runs the FLAME filter (backdoor/flame.hpp)
+/// instead of plain weighted averaging — the very group operation whose
+/// cost Fig. 2(a) measures.
 struct BackdoorConfig {
   bool attack = false;
-  double attack_scale = 3.0;  ///< poisoned update = -scale * honest update
   bool defense = false;
   backdoor::FlameConfig flame{};
 };
@@ -89,7 +95,6 @@ struct GroupFelConfig {
 
   algorithms::LocalTrainConfig local;
   LocalRule rule = LocalRule::kSgd;
-  float fedprox_mu = 0.1f;
 
   grouping::GroupingMethod grouping = grouping::GroupingMethod::kCov;
   grouping::GroupingParams grouping_params{};

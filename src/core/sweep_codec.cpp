@@ -79,22 +79,20 @@ void encode(nn::ByteWriter& w, const GroupFelConfig& cfg) {
   w.size(cfg.local_epochs);
   w.size(cfg.sampled_groups);
 
-  w.size(cfg.local.epochs);
   w.size(cfg.local.batch_size);
   w.f32(cfg.local.lr);
   w.f32(cfg.local.momentum);
   w.f32(cfg.local.weight_decay);
+  // local.epochs is not encoded: the trainer overwrites it with
+  // local_epochs.
 
   put_enum(w, cfg.rule);
-  w.f32(cfg.fedprox_mu);
 
   put_enum(w, cfg.grouping);
   w.size(cfg.grouping_params.min_group_size);
   w.f64(cfg.grouping_params.max_cov);
-  w.size(cfg.grouping_params.num_clusters);
   w.f64(cfg.grouping_params.kld_threshold);
   w.size(cfg.grouping_params.greedy_window);
-  w.boolean(cfg.grouping_params.parallel_windows);
 
   put_enum(w, cfg.sampling);
   put_enum(w, cfg.aggregation);
@@ -102,10 +100,8 @@ void encode(nn::ByteWriter& w, const GroupFelConfig& cfg) {
 
   w.boolean(cfg.fedclar.enabled);
   w.size(cfg.fedclar.cluster_round);
-  w.f64(cfg.fedclar.merge_threshold);
 
   w.boolean(cfg.backdoor.attack);
-  w.f64(cfg.backdoor.attack_scale);
   w.boolean(cfg.backdoor.defense);
   w.f64(cfg.backdoor.flame.separation_threshold);
   w.f64(cfg.backdoor.flame.noise_factor);
@@ -128,22 +124,18 @@ GroupFelConfig decode_group_fel_config(nn::ByteReader& r) {
   cfg.local_epochs = r.size();
   cfg.sampled_groups = r.size();
 
-  cfg.local.epochs = r.size();
   cfg.local.batch_size = r.size();
   cfg.local.lr = r.f32();
   cfg.local.momentum = r.f32();
   cfg.local.weight_decay = r.f32();
 
   cfg.rule = get_enum(r, LocalRule::kScaffold, "LocalRule");
-  cfg.fedprox_mu = r.f32();
 
   cfg.grouping = get_enum(r, grouping::GroupingMethod::kCov, "GroupingMethod");
   cfg.grouping_params.min_group_size = r.size();
   cfg.grouping_params.max_cov = r.f64();
-  cfg.grouping_params.num_clusters = r.size();
   cfg.grouping_params.kld_threshold = r.f64();
   cfg.grouping_params.greedy_window = r.size();
-  cfg.grouping_params.parallel_windows = r.boolean();
 
   cfg.sampling =
       get_enum(r, sampling::SamplingMethod::kESRCov, "SamplingMethod");
@@ -153,10 +145,8 @@ GroupFelConfig decode_group_fel_config(nn::ByteReader& r) {
 
   cfg.fedclar.enabled = r.boolean();
   cfg.fedclar.cluster_round = r.size();
-  cfg.fedclar.merge_threshold = r.f64();
 
   cfg.backdoor.attack = r.boolean();
-  cfg.backdoor.attack_scale = r.f64();
   cfg.backdoor.defense = r.boolean();
   cfg.backdoor.flame.separation_threshold = r.f64();
   cfg.backdoor.flame.noise_factor = r.f64();

@@ -26,7 +26,10 @@ namespace groupfel::core {
 /// v2: GroupingParams gained parallel_windows.
 /// v3: the legacy toggles are gone (three booleans: the batch-buffer,
 ///     model-replica and parallel-aggregation A/B switches).
-inline constexpr std::uint32_t kSweepCodecVersion = 3;
+/// v4: local.epochs (overwritten by local_epochs), fedprox_mu,
+///     grouping_params.num_clusters and .parallel_windows,
+///     fedclar.merge_threshold and backdoor.attack_scale are not encoded.
+inline constexpr std::uint32_t kSweepCodecVersion = 4;
 
 // Field-level codecs (composable; used by the top-level payloads below and
 // directly by tests).

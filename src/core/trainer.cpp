@@ -26,7 +26,7 @@ std::unique_ptr<algorithms::LocalUpdateRule> make_rule(
     case LocalRule::kSgd:
       return std::make_unique<algorithms::SgdRule>();
     case LocalRule::kFedProx:
-      return std::make_unique<algorithms::FedProxRule>(cfg.fedprox_mu);
+      return std::make_unique<algorithms::FedProxRule>(kFedProxMu);
     case LocalRule::kScaffold:
       return std::make_unique<algorithms::ScaffoldRule>(num_clients);
   }
@@ -172,7 +172,7 @@ GroupFelTrainer::GroupRun GroupFelTrainer::run_group(
     if (cfg_.backdoor.attack && !topo_.malicious.empty()) {
       for (auto m : survivors) {
         if (!topo_.malicious[group.clients[m]]) continue;
-        const float scale = static_cast<float>(cfg_.backdoor.attack_scale);
+        const float scale = static_cast<float>(kBackdoorAttackScale);
         for (std::size_t i = 0; i < locals[m].size(); ++i)
           locals[m][i] =
               run.params[i] - scale * (locals[m][i] - run.params[i]);
@@ -320,7 +320,7 @@ void GroupFelTrainer::fedclar_clusterize(const std::vector<float>& global_params
   });
 
   cluster_of_ =
-      algorithms::fedclar_cluster(deltas, cfg_.fedclar.merge_threshold);
+      algorithms::fedclar_cluster(deltas, kFedClarMergeThreshold);
   std::size_t num_clusters = 0;
   for (auto c : cluster_of_) num_clusters = std::max(num_clusters, c + 1);
   cluster_params_.assign(num_clusters, global_params);

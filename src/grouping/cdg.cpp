@@ -56,8 +56,8 @@ Grouping cdg_grouping(const data::LabelMatrix& matrix,
     }
   });
 
-  const std::size_t k = params.num_clusters > 0 ? params.num_clusters : m;
-  const KMeansResult km = kmeans(points, m, k, rng, 100, pool);
+  // One cluster per label.
+  const KMeansResult km = kmeans(points, m, m, rng, 100, pool);
   const std::size_t kk = km.centroids.size();
 
   // Bucket members by cluster into ONE flat array via a two-phase counting

@@ -5,41 +5,19 @@
 
 namespace groupfel::grouping {
 
-namespace {
-/// Shared kernel: sum of squared deviations from the balanced count n_g/m.
-double squared_deviation_sum(std::span<const std::size_t> counts,
-                             std::size_t total) {
-  const double mu =
-      static_cast<double>(total) / static_cast<double>(counts.size());
-  double s = 0.0;
-  for (auto c : counts) {
-    const double d = mu - static_cast<double>(c);
-    s += d * d;
-  }
-  return s;
-}
-}  // namespace
-
 double cov(std::span<const std::size_t> label_counts) {
   if (label_counts.empty()) throw std::invalid_argument("cov: no labels");
   std::size_t total = 0;
   for (auto c : label_counts) total += c;
   if (total == 0) return 0.0;
   const double m = static_cast<double>(label_counts.size());
-  const double sigma =
-      std::sqrt(squared_deviation_sum(label_counts, total) / m);
   const double mu = static_cast<double>(total) / m;
-  return sigma / mu;
-}
-
-double cov_paper_literal(std::span<const std::size_t> label_counts) {
-  if (label_counts.empty())
-    throw std::invalid_argument("cov_paper_literal: no labels");
-  std::size_t total = 0;
-  for (auto c : label_counts) total += c;
-  if (total == 0) return 0.0;
-  return std::sqrt(squared_deviation_sum(label_counts, total) /
-                   static_cast<double>(total));
+  double s = 0.0;  // sum of squared deviations from the balanced count
+  for (auto c : label_counts) {
+    const double d = mu - static_cast<double>(c);
+    s += d * d;
+  }
+  return std::sqrt(s / m) / mu;
 }
 
 std::vector<std::size_t> group_label_counts(

@@ -5,12 +5,12 @@
 // sigma = sqrt(sum_j (n_g/m - c_j)^2 / m).
 //
 // The paper's Eq. (27) displays sigma/mu but writes the right-hand side with
-// an n_g denominator, which is scale-DEPENDENT (a single-label group's value
-// would grow with sqrt(n_g)) and contradicts the paper's own motivation for
+// an n_g denominator, sqrt(sum_j (n_g/m - c_j)^2 / n_g), which equals
+// CoV * sqrt(n_g/m) exactly: it is scale-DEPENDENT (a single-label group's
+// value grows with sqrt(n_g)) and contradicts the paper's own motivation for
 // preferring CoV over variance. We therefore use the canonical sigma/mu as
 // cov() — its range [0, sqrt(m-1)] matches Fig. 6's axis and Table 1's
-// values — and keep the literal formula as cov_paper_literal() for study.
-// See DESIGN.md §3.
+// values. See DESIGN.md §3.
 #pragma once
 
 #include <span>
@@ -23,9 +23,6 @@ namespace groupfel::grouping {
 /// Canonical CoV = sigma/mu of per-label counts. Returns 0 for an empty
 /// group (no data, no skew to measure). Range: [0, sqrt(m-1)].
 [[nodiscard]] double cov(std::span<const std::size_t> label_counts);
-
-/// The paper's literal Eq. (27) right-hand side (scale-dependent variant).
-[[nodiscard]] double cov_paper_literal(std::span<const std::size_t> label_counts);
 
 /// Sums the label-matrix rows of `clients` into one group count vector.
 [[nodiscard]] std::vector<std::size_t> group_label_counts(

@@ -6,16 +6,12 @@
 // size constraint is met (MaxCoV is soft — see the paper's footnote 4).
 //
 // With params.greedy_window > 0 the greedy runs inside windows of a
-// once-shuffled pool (streaming/partitioned mode for fleet-scale edges);
-// window 0 is the classic whole-pool greedy, byte-identical to the original
-// implementation. params.parallel_windows runs the windows concurrently,
-// each on its own counter-based RNG stream, with groups emitted in
-// deterministic window order — bit-identical for any ThreadPool size.
-#include <numeric>
-
+// once-shuffled pool, one RNG stream per window, concurrently on the
+// caller's ThreadPool (grouping/windowed.hpp); window 0 is the classic
+// whole-pool greedy.
 #include "grouping/candidate_pool.hpp"
 #include "grouping/cov_scan.hpp"
-#include "grouping/grouping.hpp"
+#include "grouping/windowed.hpp"
 
 namespace groupfel::grouping {
 
@@ -72,53 +68,12 @@ void greedy_over_pool(const data::LabelMatrix& matrix,
 Grouping cov_grouping(const data::LabelMatrix& matrix,
                       const GroupingParams& params, runtime::Rng& rng,
                       runtime::ThreadPool* pool) {
-  const std::size_t n = matrix.num_clients();
-  Grouping groups;
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-
-  const std::size_t window = params.greedy_window;
-  if (window == 0 || n <= window) {
-    greedy_over_pool(matrix, params, rng, std::move(order), groups);
-    return groups;
-  }
-
-  // Streaming mode: one shuffle gives every window an unbiased slice of the
-  // population.
-  rng.shuffle(order);
-  const std::size_t num_windows = (n + window - 1) / window;
-  const auto window_items = [&](std::size_t w) {
-    const std::size_t start = w * window;
-    const std::size_t end = std::min(n, start + window);
-    return std::vector<std::size_t>(
-        order.begin() + static_cast<std::ptrdiff_t>(start),
-        order.begin() + static_cast<std::ptrdiff_t>(end));
-  };
-
-  if (!params.parallel_windows) {
-    // Serial windows thread ONE stream through all windows in order —
-    // byte-identical to previous releases.
-    for (std::size_t w = 0; w < num_windows; ++w)
-      greedy_over_pool(matrix, params, rng, window_items(w), groups);
-    return groups;
-  }
-
-  // Parallel windows: one counter-based stream per window (fork is const,
-  // so the streams do not depend on execution order), per-window output
-  // slots, deterministic window-order concatenation.
-  std::vector<Grouping> per_window(num_windows);
-  const auto run_window = [&](std::size_t w) {
-    runtime::Rng wrng = rng.fork(w);
-    greedy_over_pool(matrix, params, wrng, window_items(w), per_window[w]);
-  };
-  if (pool != nullptr && pool->size() > 0 && num_windows > 1) {
-    pool->parallel_for(num_windows, run_window);
-  } else {
-    for (std::size_t w = 0; w < num_windows; ++w) run_window(w);
-  }
-  for (auto& wg : per_window)
-    for (auto& g : wg) groups.push_back(std::move(g));
-  return groups;
+  return windowed_greedy(
+      matrix.num_clients(), params, rng, pool,
+      [&](runtime::Rng& wrng, std::vector<std::size_t> clients,
+          Grouping& groups) {
+        greedy_over_pool(matrix, params, wrng, std::move(clients), groups);
+      });
 }
 
 }  // namespace groupfel::grouping

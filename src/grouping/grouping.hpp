@@ -25,33 +25,31 @@ using Grouping = std::vector<std::vector<std::size_t>>;
 struct GroupingParams {
   std::size_t min_group_size = 5;  ///< MinGS anonymity constraint (Eq. 31)
   double max_cov = 1.0;            ///< MaxCoV soft constraint (CoVG only)
-  std::size_t num_clusters = 0;    ///< CDG: #clusters (0 = num_labels)
   double kld_threshold = 0.01;     ///< KLDG: target KLD to global dist
-  /// Streaming/partitioned greedy (CoVG and KLDG): 0 runs the classic
-  /// whole-pool greedy, byte-identical to previous releases. A value w > 0
-  /// shuffles the pool once and runs the greedy inside consecutive windows
-  /// of w clients, cutting candidate scans from O(n^2 m) to O(n w m) so an
-  /// edge with 10^6 clients forms groups in seconds. Within a window the
-  /// algorithm is EXACTLY Algorithm 2; the paper's guarantees are local to
-  /// a group, so windowing trades only cross-window candidate choice.
+  /// Windowed greedy (CoVG and KLDG): 0 runs the classic whole-pool greedy.
+  /// A value w > 0 shuffles the pool once and runs the greedy inside
+  /// consecutive windows of w clients, cutting candidate scans from
+  /// O(n^2 m) to O(n w m) so an edge with 10^6 clients forms groups in
+  /// seconds. Window i draws from its own stream rng.fork(i), the windows run
+  /// concurrently on the caller's ThreadPool and groups are emitted in window
+  /// order, so the result is bit-identical for any pool size. Within a window
+  /// the algorithm is EXACTLY Algorithm 2; the paper's guarantees are local
+  /// to a group, so windowing trades only cross-window candidate choice.
+  /// 0 < w < min_group_size is rejected: such a window cannot close a group
+  /// of MinGS clients.
   std::size_t greedy_window = 0;
-  /// Windowed CoVG/KLDG only: run the windows concurrently on the caller's
-  /// ThreadPool. Each window derives its own counter-based RNG stream
-  /// (rng.fork(window_index) — fork is const, so streams are independent of
-  /// execution order) and groups are emitted in deterministic window order;
-  /// the result is bit-identical for any pool size, including none. The
-  /// default (false) threads one RNG through the windows serially,
-  /// byte-identical to previous releases; the two modes draw different
-  /// streams, so they produce different (statistically equivalent)
-  /// groupings — quality parity is ctest-gated on the fig12 grid.
-  bool parallel_windows = false;
+  /// Retired: windowed grouping has one stream mode. `false` with
+  /// greedy_window > 0 is rejected (std::invalid_argument). The field stays
+  /// only because benchmark/src/workloads.cpp assigns it; ROADMAP item 1b
+  /// deletes it together with those two lines.
+  bool parallel_windows = true;
 
   friend bool operator==(const GroupingParams&,
                          const GroupingParams&) = default;
 };
 
-/// The paper's Algorithm 2 (greedy CoV grouping). `pool` is used only by
-/// the parallel-windows mode (see GroupingParams::parallel_windows).
+/// The paper's Algorithm 2 (greedy CoV grouping). `pool` runs the windows
+/// of the windowed mode (see GroupingParams::greedy_window).
 [[nodiscard]] Grouping cov_grouping(const data::LabelMatrix& matrix,
                                     const GroupingParams& params,
                                     runtime::Rng& rng,
@@ -95,9 +93,9 @@ enum class GroupingMethod { kRandom, kCdg, kKldg, kCov };
 [[nodiscard]] std::string to_string(GroupingMethod method);
 [[nodiscard]] GroupingMethod grouping_method_from_string(const std::string& name);
 
-/// Validates that `grouping` is a partition of [0, matrix.num_clients());
-/// throws std::logic_error otherwise. Called by form_groups in debug paths
-/// and by tests.
+/// Validates that `grouping` is a partition of [0, num_clients); throws
+/// std::invalid_argument otherwise. core::EdgeServer::form_groups calls it
+/// on every formation.
 void validate_partition(const Grouping& grouping, std::size_t num_clients);
 
 /// Summary statistics used by Table 1 and Fig. 6.

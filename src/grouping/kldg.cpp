@@ -9,17 +9,14 @@
 // log() calls) the paper measures in Fig. 5.
 //
 // params.greedy_window > 0 runs the same greedy inside windows of a
-// once-shuffled pool (see cov_grouping.cpp); the per-candidate recompute is
-// preserved, so windowed KLDG is O(n w^2 m) instead of O(n^3 m) — still the
-// most expensive method, as in the paper. params.parallel_windows runs the
-// windows concurrently on per-window RNG streams, bit-identical for any
-// ThreadPool size.
+// once-shuffled pool through the driver CoVG uses (grouping/windowed.hpp);
+// the per-candidate recompute is preserved, so windowed KLDG is O(n w^2 m)
+// instead of O(n^3 m) — still the most expensive method, as in the paper.
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "grouping/candidate_pool.hpp"
-#include "grouping/grouping.hpp"
+#include "grouping/windowed.hpp"
 #include "util/stats.hpp"
 
 namespace groupfel::grouping {
@@ -96,54 +93,18 @@ void greedy_over_pool(const data::LabelMatrix& matrix,
 Grouping kldg_grouping(const data::LabelMatrix& matrix,
                        const GroupingParams& params, runtime::Rng& rng,
                        runtime::ThreadPool* pool) {
-  const std::size_t n = matrix.num_clients();
   const auto global_counts = matrix.global_counts();
   std::vector<double> global_dist(global_counts.size());
   for (std::size_t j = 0; j < global_counts.size(); ++j)
     global_dist[j] = static_cast<double>(global_counts[j]);
 
-  Grouping groups;
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-
-  const std::size_t window = params.greedy_window;
-  if (window == 0 || n <= window) {
-    greedy_over_pool(matrix, params, rng, global_dist, std::move(order),
-                     groups);
-    return groups;
-  }
-
-  rng.shuffle(order);
-  const std::size_t num_windows = (n + window - 1) / window;
-  const auto window_items = [&](std::size_t w) {
-    const std::size_t start = w * window;
-    const std::size_t end = std::min(n, start + window);
-    return std::vector<std::size_t>(
-        order.begin() + static_cast<std::ptrdiff_t>(start),
-        order.begin() + static_cast<std::ptrdiff_t>(end));
-  };
-
-  if (!params.parallel_windows) {
-    for (std::size_t w = 0; w < num_windows; ++w)
-      greedy_over_pool(matrix, params, rng, global_dist, window_items(w),
-                       groups);
-    return groups;
-  }
-
-  std::vector<Grouping> per_window(num_windows);
-  const auto run_window = [&](std::size_t w) {
-    runtime::Rng wrng = rng.fork(w);
-    greedy_over_pool(matrix, params, wrng, global_dist, window_items(w),
-                     per_window[w]);
-  };
-  if (pool != nullptr && pool->size() > 0 && num_windows > 1) {
-    pool->parallel_for(num_windows, run_window);
-  } else {
-    for (std::size_t w = 0; w < num_windows; ++w) run_window(w);
-  }
-  for (auto& wg : per_window)
-    for (auto& g : wg) groups.push_back(std::move(g));
-  return groups;
+  return windowed_greedy(
+      matrix.num_clients(), params, rng, pool,
+      [&](runtime::Rng& wrng, std::vector<std::size_t> clients,
+          Grouping& groups) {
+        greedy_over_pool(matrix, params, wrng, global_dist,
+                         std::move(clients), groups);
+      });
 }
 
 }  // namespace groupfel::grouping

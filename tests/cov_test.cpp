@@ -61,20 +61,6 @@ TEST(Cov, RejectsEmptyLabelSet) {
   EXPECT_THROW((void)cov(empty), std::invalid_argument);
 }
 
-TEST(CovPaperLiteral, ScaleDependent) {
-  // Documents why the literal Eq. 27 RHS is not used as the default: it
-  // grows with group size for a fixed shape (see DESIGN.md §3).
-  const std::vector<std::size_t> small{10, 0};
-  const std::vector<std::size_t> large{100, 0};
-  EXPECT_LT(cov_paper_literal(small), cov_paper_literal(large));
-  EXPECT_DOUBLE_EQ(cov(small), cov(large));  // canonical: invariant
-}
-
-TEST(CovPaperLiteral, ZeroForBalanced) {
-  const std::vector<std::size_t> counts{5, 5, 5};
-  EXPECT_DOUBLE_EQ(cov_paper_literal(counts), 0.0);
-}
-
 TEST(GroupLabelCounts, SumsRows) {
   const data::LabelMatrix m({{1, 2}, {3, 4}, {10, 0}}, 2);
   const std::vector<std::size_t> clients{0, 2};

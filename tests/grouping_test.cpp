@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "util/stats.hpp"
@@ -142,6 +145,34 @@ TEST(KldgGrouping, WindowedGreedyValidPartition) {
   runtime::Rng rng(14);
   const Grouping groups = kldg_grouping(matrix, params, rng);
   EXPECT_NO_THROW(validate_partition(groups, matrix.num_clients()));
+}
+
+// A window of w < MinGS clients can only close groups of at most w members,
+// so every group would break the Eq. 31 anonymity constraint; the windowed
+// greedy rejects it and names both fields.
+TEST(WindowedGreedy, RejectsWindowBelowMinGroupSize) {
+  const auto matrix = skewed_matrix(600, 0.1);
+  GroupingParams params;
+  params.min_group_size = 20;
+  params.greedy_window = 16;
+  for (const GroupingMethod method : {GroupingMethod::kCov,
+                                      GroupingMethod::kKldg}) {
+    runtime::Rng rng(21);
+    try {
+      (void)form_groups(method, matrix, params, rng);
+      ADD_FAILURE() << to_string(method) << ": window 16 < MinGS 20 accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("greedy_window"), std::string::npos) << what;
+      EXPECT_NE(what.find("min_group_size"), std::string::npos) << what;
+    }
+  }
+  // A window of exactly MinGS clients stays valid.
+  params.greedy_window = 20;
+  runtime::Rng rng(21);
+  EXPECT_NO_THROW(
+      validate_partition(form_groups(GroupingMethod::kCov, matrix, params, rng),
+                         matrix.num_clients()));
 }
 
 TEST(CovGrouping, WindowLargerThanPoolMatchesClassic) {

@@ -11,7 +11,7 @@
 // Also gated here: the tombstone CandidatePool refactor of the CoVG/KLDG
 // greedy must stay byte-identical to the historical erase-based pool
 // (reference implementations embedded below), and the per-window RNG
-// streams of parallel_windows mode must be independent of window execution
+// streams of the windowed greedy must be independent of window execution
 // order.
 #include <gtest/gtest.h>
 
@@ -183,48 +183,39 @@ TEST(ParallelLabelMatrix, BitIdenticalAcrossPools) {
 
 // ---- Stage 3: grouping ----------------------------------------------------
 
-// Both window modes: the classic window chain must ignore the pool, and
-// parallel_windows must be bit-identical for any pool. Each test runs a
-// Dirichlet matrix and one with 32-bit-wide counts.
+// The windowed greedy (one stream per window) must be bit-identical for any
+// pool. Each test runs a Dirichlet matrix and one with 32-bit-wide counts.
 TEST(ParallelWindows, CovBitIdenticalAcrossPools) {
   for (const data::LabelMatrix& matrix :
        {make_matrix(600), wide_matrix(600, 31)}) {
-    for (const bool parallel_windows : {false, true}) {
-      grouping::GroupingParams params;
-      params.min_group_size = 8;
-      params.greedy_window = 64;
-      params.parallel_windows = parallel_windows;
-      runtime::Rng base(5);
-      const grouping::Grouping serial =
-          grouping::cov_grouping(matrix, params, base, nullptr);
-      grouping::validate_partition(serial, matrix.num_clients());
-      for_each_pool([&](runtime::ThreadPool* pool) {
-        runtime::Rng rng(5);
-        EXPECT_EQ(serial, grouping::cov_grouping(matrix, params, rng, pool))
-            << "parallel_windows = " << parallel_windows;
-      });
-    }
+    grouping::GroupingParams params;
+    params.min_group_size = 8;
+    params.greedy_window = 64;
+    runtime::Rng base(5);
+    const grouping::Grouping serial =
+        grouping::cov_grouping(matrix, params, base, nullptr);
+    grouping::validate_partition(serial, matrix.num_clients());
+    for_each_pool([&](runtime::ThreadPool* pool) {
+      runtime::Rng rng(5);
+      EXPECT_EQ(serial, grouping::cov_grouping(matrix, params, rng, pool));
+    });
   }
 }
 
 TEST(ParallelWindows, KldgBitIdenticalAcrossPools) {
   for (const data::LabelMatrix& matrix :
        {make_matrix(300), wide_matrix(300, 37)}) {
-    for (const bool parallel_windows : {false, true}) {
-      grouping::GroupingParams params;
-      params.min_group_size = 6;
-      params.greedy_window = 48;
-      params.parallel_windows = parallel_windows;
-      runtime::Rng base(9);
-      const grouping::Grouping serial =
-          grouping::kldg_grouping(matrix, params, base, nullptr);
-      grouping::validate_partition(serial, matrix.num_clients());
-      for_each_pool([&](runtime::ThreadPool* pool) {
-        runtime::Rng rng(9);
-        EXPECT_EQ(serial, grouping::kldg_grouping(matrix, params, rng, pool))
-            << "parallel_windows = " << parallel_windows;
-      });
-    }
+    grouping::GroupingParams params;
+    params.min_group_size = 6;
+    params.greedy_window = 48;
+    runtime::Rng base(9);
+    const grouping::Grouping serial =
+        grouping::kldg_grouping(matrix, params, base, nullptr);
+    grouping::validate_partition(serial, matrix.num_clients());
+    for_each_pool([&](runtime::ThreadPool* pool) {
+      runtime::Rng rng(9);
+      EXPECT_EQ(serial, grouping::kldg_grouping(matrix, params, rng, pool));
+    });
   }
 }
 
@@ -247,13 +238,12 @@ TEST(ParallelCdg, BitIdenticalAcrossPools) {
 TEST(ParallelWindows, StreamsIndependentOfExecutionOrder) {
   // Each window's RNG stream is rng.fork(window_index) off the post-shuffle
   // state, and fork is const — so running the windows in ANY order must
-  // give the same groups. Replicate the parallel-windows pipeline by hand,
-  // windows in reverse, via submatrices + the classic whole-pool greedy.
+  // give the same groups. Replicate the windowed pipeline by hand, windows
+  // in reverse, via submatrices + the classic whole-pool greedy.
   const data::LabelMatrix matrix = make_matrix(200, 31);
   grouping::GroupingParams params;
   params.min_group_size = 7;
   params.greedy_window = 50;
-  params.parallel_windows = true;
   runtime::Rng rng(77);
   const grouping::Grouping expected =
       grouping::cov_grouping(matrix, params, rng, nullptr);
@@ -273,7 +263,6 @@ TEST(ParallelWindows, StreamsIndependentOfExecutionOrder) {
         order.begin() + static_cast<std::ptrdiff_t>(end));
     grouping::GroupingParams classic = params;
     classic.greedy_window = 0;
-    classic.parallel_windows = false;
     runtime::Rng wrng = replay.fork(i);
     grouping::Grouping local = grouping::cov_grouping(
         matrix.submatrix(items), classic, wrng, nullptr);
@@ -331,8 +320,7 @@ TEST(ParallelSampling, HistogramBitIdenticalAcrossPools) {
 // (O(n) vector::erase per admission, one scalar CoV per candidate). The
 // production greedy must stay BYTE-identical to these — same candidate
 // visit order, same first-minimum tie-breaking, and for CoVG the same bits
-// per candidate from its lane scan — in classic, windowed-serial and
-// parallel-windows modes.
+// per candidate from its lane scan — in the classic and windowed modes.
 
 /// Copy of the scalar IncrementalCov (add, value, value_with verbatim), so
 /// the CoV oracle does not share code with src/.
@@ -444,13 +432,9 @@ grouping::Grouping reference_cov_grouping(
     const std::size_t end = std::min(n, start + window);
     window_pool.assign(pool.begin() + static_cast<std::ptrdiff_t>(start),
                        pool.begin() + static_cast<std::ptrdiff_t>(end));
-    if (params.parallel_windows) {
-      // One stream per window, forked from the post-shuffle state.
-      runtime::Rng wrng = rng.fork(start / window);
-      reference_cov_greedy(matrix, params, wrng, window_pool, groups);
-    } else {
-      reference_cov_greedy(matrix, params, rng, window_pool, groups);
-    }
+    // One stream per window, forked from the post-shuffle state.
+    runtime::Rng wrng = rng.fork(start / window);
+    reference_cov_greedy(matrix, params, wrng, window_pool, groups);
   }
   return groups;
 }
@@ -556,7 +540,8 @@ grouping::Grouping reference_kldg_grouping(
     const std::size_t end = std::min(n, start + window);
     window_pool.assign(pool.begin() + static_cast<std::ptrdiff_t>(start),
                        pool.begin() + static_cast<std::ptrdiff_t>(end));
-    reference_kldg_greedy(matrix, params, rng, global_dist, window_pool,
+    runtime::Rng wrng = rng.fork(start / window);
+    reference_kldg_greedy(matrix, params, wrng, global_dist, window_pool,
                           groups);
   }
   return groups;
@@ -572,21 +557,17 @@ TEST(TombstonePool, CovByteIdenticalToEraseBasedGreedy) {
   // classic whole-pool greedy); 257 covers all 160 clients in one window.
   for (const auto& [name, matrix] : matrices) {
     for (const std::size_t window : {0, 13, 48, 257}) {
-      for (const bool parallel_windows : {false, true}) {
-        // MinGS-bound groups, and small groups closed by the MaxCoV test.
-        for (const auto& [min_size, max_cov] :
-             {std::pair{std::size_t{6}, 1.0}, std::pair{std::size_t{2}, 0.3}}) {
-          grouping::GroupingParams params;
-          params.min_group_size = min_size;
-          params.max_cov = max_cov;
-          params.greedy_window = window;
-          params.parallel_windows = parallel_windows;
-          runtime::Rng a(window * 7 + 1), b(window * 7 + 1);
-          EXPECT_EQ(reference_cov_grouping(matrix, params, a),
-                    grouping::cov_grouping(matrix, params, b))
-              << name << " window " << window << " parallel "
-              << parallel_windows << " MinGS " << min_size;
-        }
+      // MinGS-bound groups, and small groups closed by the MaxCoV test.
+      for (const auto& [min_size, max_cov] :
+           {std::pair{std::size_t{6}, 1.0}, std::pair{std::size_t{2}, 0.3}}) {
+        grouping::GroupingParams params;
+        params.min_group_size = min_size;
+        params.max_cov = max_cov;
+        params.greedy_window = window;
+        runtime::Rng a(window * 7 + 1), b(window * 7 + 1);
+        EXPECT_EQ(reference_cov_grouping(matrix, params, a),
+                  grouping::cov_grouping(matrix, params, b))
+            << name << " window " << window << " MinGS " << min_size;
       }
     }
   }
@@ -607,36 +588,6 @@ TEST(TombstonePool, KldgByteIdenticalToEraseBasedGreedy) {
           << "seed " << seed << " window " << window;
     }
   }
-}
-
-// ---- Parallel vs serial windows: quality parity ---------------------------
-
-TEST(ParallelWindows, QualityParityWithSerialWindows) {
-  // The two modes draw different streams, so groupings differ — but they
-  // must be statistically equivalent. Gate: same fig12-style scenario,
-  // average group CoV within 15% of each other and identical MinGS
-  // compliance semantics.
-  const data::LabelMatrix matrix = make_matrix(1000, 3);
-  grouping::GroupingParams params;
-  params.min_group_size = 10;
-  params.greedy_window = 100;
-
-  runtime::Rng serial_rng(5);
-  params.parallel_windows = false;
-  const grouping::Grouping serial =
-      grouping::cov_grouping(matrix, params, serial_rng, nullptr);
-  runtime::Rng parallel_rng(5);
-  params.parallel_windows = true;
-  const grouping::Grouping parallel =
-      grouping::cov_grouping(matrix, params, parallel_rng, nullptr);
-
-  grouping::validate_partition(parallel, matrix.num_clients());
-  const grouping::GroupingSummary ss = grouping::summarize(matrix, serial);
-  const grouping::GroupingSummary ps = grouping::summarize(matrix, parallel);
-  EXPECT_NEAR(ps.avg_cov, ss.avg_cov, 0.15 * ss.avg_cov);
-  EXPECT_NEAR(static_cast<double>(ps.num_groups),
-              static_cast<double>(ss.num_groups),
-              0.2 * static_cast<double>(ss.num_groups));
 }
 
 }  // namespace

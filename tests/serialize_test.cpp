@@ -241,11 +241,9 @@ TEST(SweepCodec, GroupFelConfigRoundTrips) {
   cfg.sampled_groups = 4;
   cfg.local.lr = 0.0625f;
   cfg.rule = LocalRule::kFedProx;
-  cfg.fedprox_mu = 0.125f;
   cfg.grouping = grouping::GroupingMethod::kCov;
   cfg.grouping_params.max_cov = 0.75;
   cfg.backdoor.attack = true;
-  cfg.backdoor.attack_scale = 2.5;
   cfg.client_dropout_rate = 0.125;
   cfg.seed = 77;
 
@@ -263,7 +261,6 @@ TEST(SweepCodec, GroupFelConfigRoundTrips) {
   EXPECT_EQ(back.global_rounds, 9u);
   EXPECT_EQ(back.rule, LocalRule::kFedProx);
   EXPECT_EQ(back.local.lr, 0.0625f);
-  EXPECT_EQ(back.backdoor.attack_scale, 2.5);
 }
 
 [[nodiscard]] SweepCellResult sample_result() {
@@ -353,22 +350,27 @@ TEST(SweepCodec, RejectsWrongCodecVersion) {
   payload[0] ^= std::byte{0x40};  // corrupt the leading version word
   EXPECT_THROW((void)decode_cell_result(payload), std::runtime_error);
 
-  // A v2 cell (it still carried the three legacy toggle booleans) is
-  // rejected by its version word, and the message names both versions.
+  // A v2 cell (it still carried the three legacy toggle booleans) and a v3
+  // cell (it still carried the six retired config values) are rejected by
+  // their version word, and the message names both versions.
+  EXPECT_EQ(kSweepCodecVersion, 4u);
   const std::vector<std::byte> current = encode_cell(SweepCell{});
-  nn::ByteWriter w;
-  w.u32(2);
-  std::vector<std::byte> v2 = w.take();
-  v2.insert(v2.end(), current.begin() + sizeof(std::uint32_t), current.end());
-  try {
-    (void)decode_cell(v2);
-    ADD_FAILURE() << "a version-2 payload decoded";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("codec version 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("expected " + std::to_string(kSweepCodecVersion)),
-              std::string::npos)
-        << what;
+  for (const std::uint32_t old_version : {2u, 3u}) {
+    nn::ByteWriter w;
+    w.u32(old_version);
+    std::vector<std::byte> old = w.take();
+    old.insert(old.end(), current.begin() + sizeof(std::uint32_t),
+               current.end());
+    try {
+      (void)decode_cell(old);
+      ADD_FAILURE() << "a version-" << old_version << " payload decoded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("codec version " + std::to_string(old_version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("expected 4"), std::string::npos) << what;
+    }
   }
 }
 

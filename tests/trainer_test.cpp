@@ -320,6 +320,12 @@ TEST(Trainer, RejectsInvalidConfig) {
     cfg.client_dropout_rate = rate;
     expect_rejected(cfg, "client_dropout_rate");
   }
+  // Windowed grouping has one stream mode; the retired serial chain is
+  // rejected by name.
+  cfg = tiny_cfg();
+  cfg.grouping_params.greedy_window = 16;
+  cfg.grouping_params.parallel_windows = false;
+  expect_rejected(cfg, "parallel_windows");
   // The ends of the range stay valid.
   for (const double rate : {0.0, 1.0}) {
     cfg = tiny_cfg();
