@@ -440,7 +440,7 @@ KernelReport bench_partition_categorical(std::size_t clients,
   return r;
 }
 
-/// The scalar candidate scan the lane scan replaced: one
+/// The scalar candidate scan the keyed scan must match: one
 /// IncrementalCov::value_with per live candidate, first minimum kept.
 void scalar_scan_greedy(const data::LabelMatrix& matrix,
                         const grouping::GroupingParams& params,
@@ -479,8 +479,8 @@ void scalar_scan_greedy(const data::LabelMatrix& matrix,
 /// Algorithm 2 on one fleet_1m edge: 10k clients, window 256, MinGS 100,
 /// one stream per window, run serially in both arms. Naive runs the
 /// scalar candidate scan; optimized is grouping::cov_grouping with its
-/// register-wide lane scan. The groupings must be identical (error = 1
-/// otherwise).
+/// exact-key scan (grouping/cov_scan.hpp). The groupings must be identical
+/// (error = 1 otherwise).
 KernelReport bench_cov_greedy_edge(std::size_t clients, std::size_t reps) {
   data::PartitionSpec part;
   part.num_clients = clients;
@@ -531,8 +531,9 @@ KernelReport bench_cov_greedy_edge(std::size_t clients, std::size_t reps) {
   r.min_speedup = 1.6;
   const ArmSeconds t = time_alternating(opt, naive, reps);
   set_rates(r, t);
-  r.note = "Gclients/s grouped on one edge; error is 1 unless the groupings "
-           "are identical";
+  r.note = "Gclients/s grouped on one edge: exact integer key per candidate, "
+           "value_with only within the band of the minimum, vs value_with "
+           "per candidate; error is 1 unless the groupings are identical";
   return r;
 }
 

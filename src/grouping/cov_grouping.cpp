@@ -20,9 +20,10 @@ namespace {
 /// Algorithm 2 over one candidate pool; consumes `pool_items`, appends to
 /// `groups`. RNG draws: one next_below per opened group (line 3). The
 /// tombstone pool keeps candidate visit order identical to the historical
-/// erase-based pool, and the lane scan scores each candidate bit for bit as
-/// IncrementalCov::value_with does and keeps the same first minimum, so the
-/// output is byte-identical to the erase-based scalar greedy.
+/// erase-based pool, and the candidate scan returns the slot and CoV bits of
+/// the scalar first-minimum scan over IncrementalCov::value_with
+/// (grouping/cov_scan.hpp), so the output is byte-identical to the
+/// erase-based scalar greedy.
 void greedy_over_pool(const data::LabelMatrix& matrix,
                       const GroupingParams& params, runtime::Rng& rng,
                       std::vector<std::size_t> pool_items, Grouping& groups) {
@@ -41,18 +42,20 @@ void greedy_over_pool(const data::LabelMatrix& matrix,
 
     IncrementalCov inc(matrix.num_labels());
     inc.add(matrix.row(group[0]));
+    double group_cov = inc.value();  // recomputed only when the group grows
 
     // Line 4: loop while the group does not yet meet its requirement.
-    while ((inc.value() > params.max_cov ||
+    while ((group_cov > params.max_cov ||
             group.size() < params.min_group_size) &&
            !pool.empty()) {
       // Line 5: the candidate that minimizes CoV(g ∪ c).
       const CovCandidateLanes::Best best =
           lanes.argmin(inc.counts(), inc.total());
       // Line 6: add if it improves CoV, or the group is still too small.
-      if (best.cov < inc.value() || group.size() < params.min_group_size) {
+      if (best.cov < group_cov || group.size() < params.min_group_size) {
         const std::size_t chosen = pool.client(best.slot);
         inc.add(matrix.row(chosen));
+        group_cov = inc.value();
         group.push_back(chosen);
         take(best.slot);
       } else {

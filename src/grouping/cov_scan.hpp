@@ -1,20 +1,47 @@
-// Lane-parallel candidate scan for the CoV greedy (Algorithm 2, line 5).
+// Candidate scan for the CoV greedy (Algorithm 2, line 5).
 //
 // The greedy evaluates CoV(g ∪ c) for every live candidate c once per
 // admission. CovCandidateLanes keeps a window-local structure-of-arrays copy
 // of the candidates' label counts, one double per count (exact for counts
-// below 2^53), and scores one register of candidates per step, one per
-// vector lane: 8 on AVX-512, 4 on AVX, 2 on SSE2.
+// below 2^53), ranks the candidates on an exact integer key, and computes
+// the float CoV only for the few whose key lies within a proven band of the
+// minimum.
 //
-// Byte-identity contract: every lane does IncrementalCov::value_with's
-// arithmetic in its order — T = group total + candidate total, mu = T / m,
-// s += d * d over the labels from j = 0 with d = mu - (g_j + c_j), then
-// sqrt(s / m) / mu, and 0 when T = 0. Sums of integers below 2^53 are exact
-// in doubles, and vector sqrt and divide are correctly rounded, so each
-// lane's value equals the scalar one bit for bit (the TU builds with
-// -ffp-contract=off so that s + d * d is never fused). The argmin keeps the
-// FIRST minimum in slot order, like the scalar scan, so ties break the same
-// whatever the lane count.
+// Key. With n_j = g_j + c_j the combined counts, T = Σ n_j and m labels,
+// the exact CoV is E = √V / T with V = m·Σ n_j² − T². Per window each
+// candidate's total t_c and Q_c = Σ c_j² are stored; per admission the group
+// gives G = Σ g_j and P = Σ g_j², and per candidate one dot product
+// D_c = ⟨g, c⟩ gives T = G + t_c and V = m·(P + 2·D_c + Q_c) − T². Every
+// term is an integer below 2^52 while m·T_max² < 2^52 (T_max: the group
+// total plus the window's largest candidate total), so V is exact in
+// doubles, fused or not. A vector pass (8/4/2 lanes on AVX-512/AVX/SSE2)
+// computes every key and keeps per lane the least V / T², compared by cross
+// multiplication: no sqrt and no divide per candidate.
+//
+// Band lemma. IncrementalCov::value_with computes mu = fl(T / m), then
+// s += d·d over the labels from j = 0 with d = mu − n_j, then
+// sqrt(s / m) / mu (0 when T = 0). Write u = 2^-53 and η = mu − T/m, so
+// |η| ≤ u·T/m. Because Σ_j (T/m − n_j) = 0, Σ_j (mu − n_j)² = V/m + m·η²
+// exactly, so the unrounded sqrt(Σ / m) / (T/m) = √(V + m²η²) / T lies in
+// [E, E + u]. The roundings — d (1 per term), d·d (1), the m − 1
+// additions, s / m, sqrt, mu and the final divide — multiply that by a
+// factor within 1 ± δ, δ = (m/2 + 5)·u for m ≤ kMaxKeyedLabels (first order
+// (m/2 + 4.5)·u; the rest covers the second-order terms). So the float CoV
+// lies in [E·(1 − δ), (E + u)·(1 + δ)]. The absolute u covers mu's rounding
+// where V is small against T: as V → 0 no relative bound holds (at V = 0
+// itself T/m is an integer, mu is exact and the CoV is exactly 0). Then a
+// candidate c can tie or beat the pass-one minimum b only if
+// E_c·(1 − δ) ≤ (E_b + u)·(1 + δ). A second vector pass flags the live slots
+// whose key passes that test, with slack for the test's own roundings, and
+// runs value_with's arithmetic on them in slot order, keeping the FIRST
+// minimum. Every other slot's float CoV is strictly above b's, so the
+// result — slot and cov bits — is that of the scalar first-minimum scan.
+// Exact ties at different totals (proportional rows) all fall in the band,
+// and float rounding picks the winner exactly as value_with does.
+//
+// Fallback. Above kMaxKeyedLabels labels, or when m·T_max² ≥ 2^52 (counts
+// near 2^32), argmin runs value_with's arithmetic over every live slot.
+// The TU builds with -ffp-contract=off so that s + d * d is never fused.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +54,12 @@
 namespace groupfel::grouping {
 
 /// Slot padding: the stride is a multiple of the widest lane batch (8
-/// doubles, AVX-512), so every register width tiles it exactly.
+/// doubles, AVX-512, one 64-byte line), so every register width tiles it
+/// exactly and every row starts on a line.
 inline constexpr std::size_t kCovLanes = 8;
+
+/// Largest label count the keyed scan takes; more labels use the fallback.
+inline constexpr std::size_t kMaxKeyedLabels = 1024;
 
 /// Slot-aligned with a CandidatePool built from the same items: remove()
 /// marks the slot the pool tombstones, and compact() must run exactly when
@@ -44,7 +75,8 @@ class CovCandidateLanes {
   };
 
   /// The live slot minimizing the CoV of the group plus that candidate
-  /// (first minimum in slot order), and that CoV. `group_counts` holds the
+  /// (first minimum in slot order), and that CoV, bit for bit as
+  /// IncrementalCov::value_with computes it. `group_counts` holds the
   /// group's per-label counts and `group_total` their sum.
   [[nodiscard]] Best argmin(std::span<const std::size_t> group_counts,
                             std::size_t group_total);
@@ -57,13 +89,36 @@ class CovCandidateLanes {
   void compact();
 
  private:
+  /// value_with's arithmetic for the candidate in `slot` (group in group_).
+  [[nodiscard]] double value_at(std::size_t slot, double group_total) const;
+
+  // One buffer of (labels_ + 4) rows of stride_ doubles, the first row on a
+  // 64-byte boundary: the label counts [label][slot], then t_c, Q_c / 2
+  // (+inf once masked, and in padding), and argmin's V and T² per slot.
+  [[nodiscard]] double* row(std::size_t r) {
+    return buffer_.data() + offset_ + r * stride_;
+  }
+  [[nodiscard]] const double* row(std::size_t r) const {
+    return buffer_.data() + offset_ + r * stride_;
+  }
+  [[nodiscard]] double* totals() { return row(labels_); }
+  [[nodiscard]] const double* totals() const { return row(labels_); }
+  [[nodiscard]] double* half_squares() { return row(labels_ + 1); }
+  [[nodiscard]] const double* half_squares() const {
+    return row(labels_ + 1);
+  }
+  [[nodiscard]] double* key_v() { return row(labels_ + 2); }
+  [[nodiscard]] double* key_t2() { return row(labels_ + 3); }
+
   std::size_t labels_ = 0;
-  std::size_t slots_ = 0;   ///< slots in use, live or masked
-  std::size_t stride_ = 0;  ///< slot capacity, a multiple of kCovLanes
-  std::vector<double> counts_;      ///< [label * stride_ + slot]
-  std::vector<double> totals_;      ///< candidate totals, [slot]
-  std::vector<std::int64_t> live_;  ///< -1 live, 0 masked or padding
-  std::vector<double> group_;       ///< argmin's group counts as doubles
+  std::size_t slots_ = 0;      ///< slots in use, live or masked
+  std::size_t stride_ = 0;     ///< slot capacity, a multiple of kCovLanes
+  std::size_t max_total_ = 0;  ///< largest candidate total of the window
+  std::size_t key_limit_ = 0;  ///< largest T with m·T² < 2^52
+  std::size_t offset_ = 0;     ///< first element of row 0 in buffer_
+  double band_scale_ = 0.0;    ///< ((1 + δ)/(1 − δ))², with slack
+  std::vector<double> buffer_;
+  std::vector<double> group_;  ///< argmin's group counts as doubles
 };
 
 }  // namespace groupfel::grouping

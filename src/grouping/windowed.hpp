@@ -9,6 +9,10 @@
 // The result is bit-identical for any pool size, including none. Window 0
 // (or a pool no larger than one window) runs the greedy once over every
 // client on `rng` itself: the classic whole-pool Algorithm 2.
+//
+// Groups never cross a window, so MinGS (Eq. 31) holds per window: the last
+// group of each window, closed when the window's candidates run out, may be
+// smaller than MinGS (GroupingParams::greedy_window has measured counts).
 #pragma once
 
 #include <vector>

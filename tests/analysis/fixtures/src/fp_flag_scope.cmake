@@ -11,11 +11,14 @@ set_source_files_properties(nn/gemm.cpp PROPERTIES
 # FINDING x2: two more TUs get -ffast-math through the same flag set.
 set_source_files_properties(nn/layers.cpp nn/tensor.cpp PROPERTIES
   COMPILE_OPTIONS "${GROUPFEL_KERNEL_FLAGS}")
-# Not a finding: both conv TUs and the CoV scan keep contraction off.
+# Not a finding: both conv TUs, the CoV scan and the scalar CoV keep
+# contraction off.
 set_source_files_properties(nn/conv.cpp nn/im2col.cpp PROPERTIES
   COMPILE_OPTIONS "${GROUPFEL_ELEMENTWISE_FLAGS};-ffp-contract=off")
 set_source_files_properties(grouping/cov_scan.cpp PROPERTIES
   COMPILE_OPTIONS "${GROUPFEL_ELEMENTWISE_FLAGS};-ffp-contract=off")
+set_source_files_properties(grouping/cov.cpp PROPERTIES
+  COMPILE_OPTIONS "-ffp-contract=off")
 # FINDING: a bit-exact TU with the native ISA but contraction left on. It
 # was listed with -ffp-contract=off first; the later call wins, as in CMake.
 set_source_files_properties(runtime/categorical_bulk.cpp PROPERTIES

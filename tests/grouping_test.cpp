@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
@@ -173,6 +176,58 @@ TEST(WindowedGreedy, RejectsWindowBelowMinGroupSize) {
   EXPECT_NO_THROW(
       validate_partition(form_groups(GroupingMethod::kCov, matrix, params, rng),
                          matrix.num_clients()));
+}
+
+// Eq. 31 as the windowed greedy implements it: groups never cross a
+// window, windows emit their groups in order, and within a window only the
+// group closed by pool exhaustion (the window's last) may hold fewer than
+// MinGS clients. So a grouping can carry up to one undersized tail per
+// window, not one per edge as with window 0.
+TEST(WindowedGreedy, OnlyLastGroupOfEachWindowMayBeBelowMinGS) {
+  const auto matrix = skewed_matrix(600, 0.1);
+  GroupingParams params;
+  params.min_group_size = 20;
+  params.greedy_window = 64;  // nine full windows and one of 24 clients
+  const std::size_t n = matrix.num_clients();
+  for (const GroupingMethod method : {GroupingMethod::kCov,
+                                      GroupingMethod::kKldg}) {
+    runtime::Rng rng(31);
+    runtime::Rng replay = rng;
+    const Grouping groups = form_groups(method, matrix, params, rng);
+    // windowed_greedy's one shuffle gives each client its window.
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    replay.shuffle(order);
+    std::vector<std::size_t> window_of(n);
+    for (std::size_t pos = 0; pos < n; ++pos)
+      window_of[order[pos]] = pos / params.greedy_window;
+
+    std::size_t window = 0, filled = 0, undersized = 0;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      ASSERT_FALSE(groups[g].empty());
+      for (const std::size_t client : groups[g])
+        ASSERT_EQ(window_of[client], window)
+            << to_string(method) << " group " << g << " leaves its window";
+      filled += groups[g].size();
+      const std::size_t window_size =
+          std::min(params.greedy_window, n - window * params.greedy_window);
+      ASSERT_LE(filled, window_size);
+      const bool last_of_window = filled == window_size;
+      if (groups[g].size() < params.min_group_size) {
+        ++undersized;
+        EXPECT_TRUE(last_of_window)
+            << to_string(method) << " group " << g << " of window " << window
+            << " has " << groups[g].size() << " < MinGS clients";
+      }
+      if (last_of_window) {
+        ++window;
+        filled = 0;
+      }
+    }
+    EXPECT_EQ(window, (n + params.greedy_window - 1) / params.greedy_window);
+    // More than the one tail the whole-pool greedy can leave.
+    EXPECT_GT(undersized, 1u) << to_string(method);
+  }
 }
 
 TEST(CovGrouping, WindowLargerThanPoolMatchesClassic) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -29,6 +30,8 @@
 #include "data/client_data.hpp"
 #include "data/client_descriptor.hpp"
 #include "data/label_matrix.hpp"
+#include "grouping/candidate_pool.hpp"
+#include "grouping/cov_scan.hpp"
 #include "grouping/grouping.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sampling/sampler.hpp"
@@ -88,6 +91,40 @@ data::LabelMatrix wide_matrix(std::size_t clients, std::uint64_t seed) {
         static_cast<data::LabelMatrix::Count>(kMax - rng.next_below(1000));
     row[(big + 1 + rng.next_below(9)) % 10] =
         static_cast<data::LabelMatrix::Count>(rng.next_below(1u << 20));
+  }
+  return data::LabelMatrix(rows, 10);
+}
+
+/// Rows that are k × one of two fixed histograms (k in 1..12): a group built
+/// from them plus any candidate of the same histogram has exactly the same
+/// CoV at different totals, so float rounding alone picks the first minimum.
+data::LabelMatrix proportional_matrix(std::size_t clients,
+                                      std::uint64_t seed) {
+  const std::vector<std::vector<data::LabelMatrix::Count>> bases = {
+      {3, 1, 0, 2, 0, 0, 5, 0, 1, 0}, {1, 1, 1, 1, 1, 1, 1, 1, 1, 4}};
+  runtime::Rng rng(seed);
+  std::vector<std::vector<data::LabelMatrix::Count>> rows(clients);
+  for (auto& row : rows) {
+    row = bases[rng.next_below(bases.size())];
+    const auto k = static_cast<data::LabelMatrix::Count>(1 + rng.next_below(12));
+    for (auto& c : row) c *= k;
+  }
+  return data::LabelMatrix(rows, 10);
+}
+
+/// Rows at or one count away from balanced, (c, ..., c) plus or minus one
+/// on a label: many candidates give an exact CoV of 0, and their neighbours
+/// a CoV near 0 whose T/m is inexact.
+data::LabelMatrix balanced_matrix(std::size_t clients, std::uint64_t seed) {
+  runtime::Rng rng(seed);
+  std::vector<std::vector<data::LabelMatrix::Count>> rows(clients);
+  for (auto& row : rows) {
+    row.assign(10, static_cast<data::LabelMatrix::Count>(1 + rng.next_below(20)));
+    switch (rng.next_below(3)) {
+      case 0: ++row[rng.next_below(10)]; break;
+      case 1: --row[rng.next_below(10)]; break;
+      default: break;
+    }
   }
   return data::LabelMatrix(rows, 10);
 }
@@ -184,10 +221,13 @@ TEST(ParallelLabelMatrix, BitIdenticalAcrossPools) {
 // ---- Stage 3: grouping ----------------------------------------------------
 
 // The windowed greedy (one stream per window) must be bit-identical for any
-// pool. Each test runs a Dirichlet matrix and one with 32-bit-wide counts.
+// pool. Each test runs a Dirichlet matrix and one with 32-bit-wide counts;
+// the CoVG test adds the exact-tie and near-balanced matrices of the
+// candidate scan.
 TEST(ParallelWindows, CovBitIdenticalAcrossPools) {
   for (const data::LabelMatrix& matrix :
-       {make_matrix(600), wide_matrix(600, 31)}) {
+       {make_matrix(600), wide_matrix(600, 31), proportional_matrix(600, 33),
+        balanced_matrix(600, 35)}) {
     grouping::GroupingParams params;
     params.min_group_size = 8;
     params.greedy_window = 64;
@@ -453,6 +493,62 @@ data::LabelMatrix tie_matrix(std::size_t clients, std::uint64_t seed) {
   return data::LabelMatrix(rows, 10);
 }
 
+// The candidate scan ranks on an exact integer key and re-scores only a
+// band around the minimum; its slot and CoV bits must equal the scalar
+// first-minimum scan over value_with on any group state, including exact
+// ties, exact zeros, a group with total 0 (tie_matrix's zero rows), masked
+// and compacted slots, and the fallback for counts near 2^32 (wide_matrix).
+TEST(CovScan, ArgminMatchesScalarFirstMinimum) {
+  const std::vector<std::pair<std::string, data::LabelMatrix>> matrices = {
+      {"dirichlet", make_matrix(300, 7)},
+      {"proportional rows", proportional_matrix(300, 8)},
+      {"balanced rows", balanced_matrix(300, 9)},
+      {"ties and zero rows", tie_matrix(300, 10)},
+      {"32-bit-wide counts", wide_matrix(120, 11)}};
+  for (const auto& [name, matrix] : matrices) {
+    runtime::Rng rng(21);
+    const std::size_t n = matrix.num_clients();
+    for (std::size_t trial = 0; trial < 60; ++trial) {
+      std::vector<std::size_t> items(n);
+      std::iota(items.begin(), items.end(), std::size_t{0});
+      rng.shuffle(items);
+      items.resize(1 + rng.next_below(n));
+      grouping::CovCandidateLanes lanes(matrix, items);
+      grouping::CandidatePool pool(items);
+      // Mask a random share of the slots, compacting where the pool does.
+      const std::size_t removals = rng.next_below(pool.size());
+      for (std::size_t r = 0; r < removals; ++r) {
+        const std::size_t slot =
+            pool.nth_live_slot(rng.next_below(pool.size()));
+        lanes.remove(slot);
+        if (pool.remove(slot)) lanes.compact();
+      }
+      // A group of 1..40 random rows.
+      grouping::IncrementalCov group(matrix.num_labels());
+      const std::size_t members = 1 + rng.next_below(40);
+      for (std::size_t i = 0; i < members; ++i)
+        group.add(matrix.row(rng.next_below(n)));
+
+      double want_cov = std::numeric_limits<double>::infinity();
+      std::size_t want_slot = 0;
+      pool.for_each([&](std::size_t slot, std::size_t client) {
+        const double c = group.value_with(matrix.row(client));
+        if (c < want_cov) {
+          want_cov = c;
+          want_slot = slot;
+        }
+      });
+      const grouping::CovCandidateLanes::Best got =
+          lanes.argmin(group.counts(), group.total());
+      ASSERT_EQ(got.slot, want_slot) << name << " trial " << trial;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.cov),
+                std::bit_cast<std::uint64_t>(want_cov))
+          << name << " trial " << trial << ": " << got.cov << " vs "
+          << want_cov;
+    }
+  }
+}
+
 double reference_group_kld(const data::LabelMatrix& matrix,
                            const std::vector<std::size_t>& group,
                            std::size_t extra_client,
@@ -552,6 +648,8 @@ TEST(TombstonePool, CovByteIdenticalToEraseBasedGreedy) {
       {"dirichlet seed 3", make_matrix(160, 3)},
       {"dirichlet seed 17", make_matrix(160, 17)},
       {"ties and zero rows", tie_matrix(300, 5)},
+      {"proportional rows", proportional_matrix(300, 6)},
+      {"balanced rows", balanced_matrix(300, 12)},
       {"32-bit-wide counts", wide_matrix(160, 29)}};
   // Windows not divisible by the 8 scan lanes, one that is, and 0 (the
   // classic whole-pool greedy); 257 covers all 160 clients in one window.
