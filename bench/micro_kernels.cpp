@@ -2,8 +2,8 @@
 // reproduction bottoms out in (GEMM, Conv2d fwd/bwd) against their retained
 // naive oracles, plus the two protocol kernels whose quadratic cost the
 // paper's Fig. 2a / Fig. 8 overhead model rests on (SecAgg mask expansion,
-// FLAME pairwise cosine), plus the synthetic-sample noise kernel behind lazy
-// shard synthesis, plus the fleet set-up kernels (the §7.2 partition's
+// FLAME pairwise cosine), plus lazy shard synthesis (eight sample streams
+// per vector against the per-sample reference), plus the fleet set-up kernels (the §7.2 partition's
 // label draws and Algorithm 2's candidate scan), plus the million-client
 // control plane (build_experiment and the trainer's grouping, serial vs a
 // 3-worker pool, whose loops run on 4 threads). Emits BENCH_kernels.json so
@@ -48,6 +48,8 @@
 #include "core/trainer.hpp"
 #include "data/client_descriptor.hpp"
 #include "data/label_matrix.hpp"
+#include "data/lazy_shard.hpp"
+#include "data/synthetic.hpp"
 #include "grouping/candidate_pool.hpp"
 #include "grouping/grouping.hpp"
 #include "nn/layer.hpp"
@@ -319,48 +321,67 @@ KernelReport bench_secagg_mask(std::size_t n, std::size_t reps) {
   return r;
 }
 
-/// Synthetic-sample noise — the lazy-shard synthesis kernel. Naive is the
-/// scalar loop out[d] = base[d] + float(normal() * scale); optimized is the
-/// 8-lane Box–Muller kernel Rng::add_normals. Both define the same samples,
-/// so the error column counts mismatched floats and must be exactly 0.
-KernelReport bench_synth_normals(std::size_t n, std::size_t samples,
-                                 std::size_t reps) {
-  constexpr double kScale = 1.4;  // cifar_like_spec's noise scale
+/// Lazy shard synthesis on fleet_1m-shaped clients (cifar_like_spec's
+/// 32-float samples: 3 modes, label noise 0.08; 200 samples over a
+/// Dirichlet(0.1) histogram). Naive is the per-sample loop: each canonical
+/// position's intended class, then synthesize_sample() on its own stream.
+/// Optimized is LazyShardSource::materialize_client, eight samples a step,
+/// one stream per vector lane. Both define the same samples, so the error
+/// column counts mismatched floats and labels and must be exactly 0.
+KernelReport bench_synth_normals(std::size_t clients, std::size_t reps) {
+  constexpr std::size_t kSamples = 200;
+  const data::SyntheticSpec spec = data::cifar_like_spec();
+  const std::size_t dim = nn::shape_size(spec.sample_shape);
   KernelReport r;
   r.name = "synth_normals";
-  r.shape = "n" + std::to_string(n) + "_x" + std::to_string(samples);
-  r.flops = static_cast<double>(n * samples);  // unit: floats, not FLOPs
-  std::vector<float> base(n), naive_out(n * samples), opt_out(n * samples);
-  runtime::Rng base_rng(23);
-  for (auto& v : base) v = static_cast<float>(base_rng.normal());
-  // One fresh stream per sample, as synthesize_sample draws them.
+  r.shape = "n" + std::to_string(dim) + "_x" + std::to_string(kSamples) +
+            "_c" + std::to_string(clients);
+  r.flops = static_cast<double>(clients * kSamples * dim);  // unit: floats
+  data::ClientPopulation pop(clients, spec.num_classes);
+  runtime::Rng rng(29);
+  for (std::size_t c = 0; c < clients; ++c) {
+    const std::vector<double> props = rng.dirichlet(0.1, spec.num_classes);
+    const auto row = pop.label_counts_mutable(c);
+    for (std::size_t s = 0; s < kSamples; ++s) ++row[rng.categorical(props)];
+    pop.set_data_count(c, kSamples);
+    pop.set_seed(c, rng.next_u64());
+  }
+  const data::LazyShardSource source(spec, pop);
+  const std::vector<float> prototypes = data::make_prototypes(spec);
+  const std::size_t total = clients * kSamples;
+  std::vector<float> naive_x(total * dim), opt_x(total * dim);
+  std::vector<std::int32_t> naive_y(total), opt_y(total);
   const auto naive = [&] {
-    for (std::size_t i = 0; i < samples; ++i) {
-      runtime::Rng rng(i + 1);
-      float* out = naive_out.data() + i * n;
-      for (std::size_t d = 0; d < n; ++d)
-        out[d] = base[d] + static_cast<float>(rng.normal() * kScale);
+    for (std::size_t c = 0; c < clients; ++c) {
+      const std::uint64_t seed = pop.seed(c);
+      for (std::size_t j = 0; j < kSamples; ++j) {
+        const std::size_t i = c * kSamples + j;
+        naive_y[i] = data::synthesize_sample(
+            spec, prototypes, data::sample_stream_seed(seed, j),
+            pop.intended_class(c, j), naive_x.data() + i * dim);
+      }
     }
   };
   const auto opt = [&] {
-    for (std::size_t i = 0; i < samples; ++i) {
-      runtime::Rng rng(i + 1);
-      rng.add_normals(base, kScale, std::span(opt_out).subspan(i * n, n));
-    }
+    for (std::size_t c = 0; c < clients; ++c)
+      source.materialize_client(
+          c, std::span(opt_x).subspan(c * kSamples * dim, kSamples * dim),
+          std::span(opt_y).subspan(c * kSamples, kSamples));
   };
   naive();
   opt();
   std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < naive_out.size(); ++i)
-    mismatches += std::memcmp(&naive_out[i], &opt_out[i], sizeof(float)) != 0;
-  r.max_rel_err =
-      static_cast<double>(mismatches) / static_cast<double>(naive_out.size());
+  for (std::size_t i = 0; i < naive_x.size(); ++i)
+    mismatches += std::memcmp(&naive_x[i], &opt_x[i], sizeof(float)) != 0;
+  for (std::size_t i = 0; i < total; ++i) mismatches += naive_y[i] != opt_y[i];
+  r.max_rel_err = static_cast<double>(mismatches) /
+                  static_cast<double>(naive_x.size() + total);
   r.tolerance = 0.0;
   r.min_speedup = 2.0;
   const ArmSeconds t = time_alternating(opt, naive, reps);
   set_rates(r, t);
-  r.note = "Gfloat/s of noised sample floats; error is the mismatch share "
-           "(exact match required)";
+  r.note = "Gfloat/s of synthesized sample floats; error is the mismatch "
+           "share of floats and labels (exact match required)";
   return r;
 }
 
@@ -741,9 +762,9 @@ int main(int argc, char** argv) {
   // Protocol kernels (Fig. 2a / Fig. 8 cost drivers).
   reports.push_back(bench_secagg_mask(g_smoke ? 4096 : 65536, 9));
   reports.push_back(bench_flame_cosine(16, g_smoke ? 2048 : 16384, 9));
-  // Lazy-shard synthesis: one 3x16x16 image sample's noise per stream, 64
-  // samples (cache-resident, like a training batch's buffer).
-  reports.push_back(bench_synth_normals(768, 64, 51));
+  // Lazy shard synthesis: 16 fleet_1m clients (400 KiB of samples, L2
+  // resident, like the per-thread client memo).
+  reports.push_back(bench_synth_normals(16, 51));
   // Fleet set-up kernels: the §7.2 partition's label draws and Algorithm
   // 2's candidate scan on one 10k-client edge.
   reports.push_back(

@@ -47,12 +47,6 @@ std::vector<float> make_prototypes(const SyntheticSpec& spec) {
   return prototypes;
 }
 
-std::uint64_t sample_stream_seed(std::uint64_t client_seed,
-                                 std::uint64_t local_index) noexcept {
-  std::uint64_t sm = client_seed ^ (local_index * 0x9e3779b97f4a7c15ull);
-  return runtime::splitmix64(sm);
-}
-
 std::int32_t synthesize_sample(const SyntheticSpec& spec,
                                std::span<const float> prototypes,
                                std::uint64_t seed, std::size_t cls,

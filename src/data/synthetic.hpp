@@ -49,10 +49,13 @@ struct SyntheticSpec {
 /// Seed of the independent Rng stream for one sample, keyed by the owning
 /// client's seed and the sample's local index. Counter-based (no shared
 /// stream), so any sample can be regenerated in isolation, in any order, on
-/// any thread, bit-identically.
-[[nodiscard]] std::uint64_t sample_stream_seed(std::uint64_t client_seed,
-                                               std::uint64_t local_index)
-    noexcept;
+/// any thread, bit-identically. Inline so lazy synthesis can seed eight
+/// samples in vector lanes.
+[[nodiscard]] inline std::uint64_t sample_stream_seed(
+    std::uint64_t client_seed, std::uint64_t local_index) noexcept {
+  std::uint64_t sm = client_seed ^ (local_index * 0x9e3779b97f4a7c15ull);
+  return runtime::splitmix64(sm);
+}
 
 /// Synthesizes ONE sample of intended class `cls` from its own stream:
 /// mode draw, prototype + isotropic noise into `out` (dim floats), then the

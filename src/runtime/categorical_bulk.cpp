@@ -2,13 +2,11 @@
 //
 // Each stream owns one lane of GCC vector-extension integers and doubles:
 // its xoshiro256++ state words, its total, its draw count and its weights,
-// transposed so w[i] holds every lane's i-th weight. One vector step gives
-// each lane its stream's next u64, and u = double(x >> 11) * 2^-53 * total
-// is next_double() * total, rounded the same way. The vectors are one
-// native register wide (8 lanes with AVX-512, 4 with AVX, 2 otherwise; a
-// wider generic vector's compares are lowered lane by lane to scalar code),
-// so eight streams run as one to four register-wide parts, one after the
-// other.
+// transposed so w[i] holds every lane's i-th weight. One vector step
+// (runtime/xoshiro_lanes.hpp) gives each lane its stream's next u64, and
+// u = double(x >> 11) * 2^-53 * total is next_double() * total, rounded the
+// same way. The vectors are one native register wide, so eight streams run
+// as one to four register-wide parts, one after the other.
 //
 // Each lane then runs categorical()'s whole subtraction chain u -= w[i] for
 // i < k - 1 instead of stopping at the first negative u, and acc[i] counts
@@ -36,28 +34,22 @@
 #include <vector>
 
 #include "runtime/rng.hpp"
+#include "runtime/xoshiro_lanes.hpp"
 
 namespace groupfel::runtime {
 
 namespace {
-#if defined(__AVX512F__)
-constexpr std::size_t kVecBytes = 64;
-#elif defined(__AVX__)
-constexpr std::size_t kVecBytes = 32;
-#else
-constexpr std::size_t kVecBytes = 16;
-#endif
-constexpr std::size_t kWidth = kVecBytes / sizeof(double);  // lanes per part
-typedef double vec_f64 __attribute__((vector_size(kVecBytes)));
-typedef std::int64_t vec_i64 __attribute__((vector_size(kVecBytes)));
-typedef std::uint64_t vec_u64 __attribute__((vector_size(kVecBytes)));
+using lanes::kWidth;  // lanes per part
+using lanes::vec_f64;
+using lanes::vec_i64;
+using lanes::vec_u64;
 static_assert(kCategoricalLanes % kWidth == 0);
 
 // Draws generated per pass over the chain, so each weight and counter
 // vector is loaded once per kBlock draws.
 constexpr std::size_t kBlock = 8;
 
-using State = std::array<std::uint64_t, 4>;
+using State = Rng::State;
 
 // Draws the streams of one part (at most kWidth of them) into their counts,
 // advancing state[l] in place of part[l].rng's state; totals[l] is
@@ -95,31 +87,17 @@ void draw_part(std::span<const CategoricalStream> part,
       const vec_u64 keep = (vec_u64)active;
 
       // xoshiro256++, as Rng::next_u64(), committed only where `keep`.
-      const vec_u64 sum = s0 + s3;
-      const vec_u64 x = ((sum << 23) | (sum >> 41)) + s0;
-      const vec_u64 shifted = s1 << 17;
-      vec_u64 n2 = s2 ^ s0;
-      vec_u64 n3 = s3 ^ s1;
-      const vec_u64 n1 = s1 ^ n2;
-      const vec_u64 n0 = s0 ^ n3;
-      n2 ^= shifted;
-      n3 = (n3 << 45) | (n3 >> 19);
-      s0 = (n0 & keep) | (s0 & ~keep);
-      s1 = (n1 & keep) | (s1 & ~keep);
-      s2 = (n2 & keep) | (s2 & ~keep);
-      s3 = (n3 & keep) | (s3 & ~keep);
+      const vec_u64 o0 = s0, o1 = s1, o2 = s2, o3 = s3;
+      vec_u64 x{};
+      lanes::xoshiro_step(s0, s1, s2, s3, x);
+      s0 = (s0 & keep) | (o0 & ~keep);
+      s1 = (s1 & keep) | (o1 & ~keep);
+      s2 = (s2 & keep) | (o2 & ~keep);
+      s3 = (s3 & keep) | (o3 & ~keep);
 
-      // m = x >> 11 < 2^53 as a double, exactly as next_double() converts
-      // it: the top 52 bits of m through the 2^52 exponent trick, doubled,
-      // plus m's lowest bit as 0.0 or 1.0. Every step is exact at every
-      // width. AVX-512DQ's packed conversion ran this kernel about 10%
-      // faster on an AVX-512 Xeon but moved fleet_1m's set-up time by less
-      // than its noise, so there is no second path for it.
-      const vec_f64 half = (vec_f64)((x >> 12) | 0x4330000000000000ull) -
-                           0x1.0p52;
-      const vec_u64 low = -((x >> 11) & 1) & 0x3ff0000000000000ull;
-      const vec_f64 m = (half + half) + (vec_f64)low;
-      const vec_f64 draw = m * 0x1.0p-53 * total;
+      vec_f64 unit{};
+      lanes::unit_doubles(x, unit);
+      const vec_f64 draw = unit * total;
       u[b] = active ? draw : inf;
     }
     for (std::size_t i = 0; i < chain; ++i) {
@@ -177,14 +155,14 @@ void categorical_counts(std::span<const CategoricalStream> streams) {
   }
   std::array<State, kCategoricalLanes> state{};
   for (std::size_t l = 0; l < streams.size(); ++l)
-    if (streams[l].n != 0) state[l] = streams[l].rng->s_;
+    if (streams[l].n != 0) state[l] = streams[l].rng->state();
   for (std::size_t p = 0; p < streams.size(); p += kWidth) {
     const std::size_t lanes = std::min(kWidth, streams.size() - p);
     draw_part(streams.subspan(p, lanes), std::span(totals).subspan(p, lanes),
               std::span(state).subspan(p, lanes), chain, w.data(), acc.data());
   }
   for (std::size_t l = 0; l < streams.size(); ++l)
-    if (streams[l].n != 0) streams[l].rng->s_ = state[l];
+    if (streams[l].n != 0) streams[l].rng->set_state(state[l]);
 }
 
 }  // namespace groupfel::runtime

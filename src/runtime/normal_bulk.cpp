@@ -1,10 +1,15 @@
-// Bulk Box–Muller kernel behind Rng::add_normals.
+// Bulk Box–Muller kernel behind Rng::add_normals and lazy shard synthesis.
 //
-// Eight pairs per call, one pair per lane of GCC vector-extension doubles:
+// One pair per lane of GCC vector-extension doubles, one native register
+// wide (runtime/xoshiro_lanes.hpp: 8 lanes with AVX-512, 4 with AVX, 2
+// otherwise), and two registers per step, so two independent dependency
+// chains overlap without spilling:
 //   - log u1: exponent split u1 = 2^k·m with m in [√½, √2), then
 //     ln m = 2·atanh(s), s = (m − 1)/(m + 1), with fdlibm's e_log.c
 //     polynomial and ln 2 split into hi and lo parts;
-//   - r = sqrt(−2 ln u1), one correctly rounded sqrt per lane;
+//   - r = sqrt(−2 ln u1), one correctly rounded sqrt per lane. The TU builds
+//     with -fno-math-errno, so std::sqrt is a vector sqrt: its argument is
+//     always > 0, so errno was never set and no bit changes;
 //   - sin/cos of θ = 2π·u2: θ·2/π rounded to the nearest quadrant n, a
 //     three-part Cody–Waite reduction θ − n·(pio2_1 + pio2_2 + pio2_2t)
 //     (fdlibm's constants, ~118 bits of π/2) into a double-double y0 + y1,
@@ -19,25 +24,30 @@
 // This TU must keep strict IEEE semantics, so it never gets -ffast-math:
 // the reduction relies on exact subtractions and on the round-to-nearest
 // shift trick, and the error bound is what makes the test sound.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
+
 #include "runtime/rng.hpp"
+#include "runtime/xoshiro_lanes.hpp"
 
 namespace groupfel::runtime::detail {
 
 namespace {
 
-constexpr std::size_t kLanes = kNormalLanes;
-typedef double vec_f64 __attribute__((vector_size(kLanes * sizeof(double))));
-typedef std::uint64_t vec_u64
-    __attribute__((vector_size(kLanes * sizeof(std::uint64_t))));
-typedef float vec_f32 __attribute__((vector_size(kLanes * sizeof(float))));
-typedef std::uint32_t vec_u32
-    __attribute__((vector_size(kLanes * sizeof(std::uint32_t))));
-typedef float vec_f32x2
-    __attribute__((vector_size(2 * kLanes * sizeof(float))));
+using lanes::kVecBytes;
+using lanes::kWidth;  // pairs a register
+using lanes::vec_f64;
+using lanes::vec_u64;
+constexpr std::size_t kStep = 2 * kWidth;  // pairs a step: two registers
+typedef float vec_f32 __attribute__((vector_size(kVecBytes / 2)));
+typedef std::int32_t vec_i32 __attribute__((vector_size(kVecBytes / 2)));
+typedef float vec_f32x2 __attribute__((vector_size(kVecBytes)));
 
 // Rounding-test band B.
 constexpr double kBand = 0x1p-36;
@@ -82,8 +92,7 @@ constexpr double kC6 = -0x1.8fae9be8838d4p-37;
 
 constexpr std::uint64_t kSignBit = 0x8000000000000000ull;
 
-// Vectors travel by reference: passing or returning a vector wider than the
-// target ISA's registers by value would trip -Wpsabi in portable builds.
+// Vectors travel by reference (-Wpsabi).
 inline void blend(vec_f64& dst, const vec_u64& mask, const vec_f64& if_set,
                   const vec_f64& if_clear) noexcept {
   dst = (vec_f64)(((vec_u64)if_set & mask) | ((vec_u64)if_clear & ~mask));
@@ -149,13 +158,13 @@ inline void sincos_lanes(const vec_f64& theta, vec_f64& sin_out,
   cos_out = (vec_f64)((vec_u64)cos_out ^ cos_sign);
 }
 
-void fast_pairs(const vec_f64& u1, const vec_f64& u2, vec_f64& cos_half,
+inline void fast_pairs(const vec_f64& u1, const vec_f64& u2, vec_f64& cos_half,
                 vec_f64& sin_half) noexcept {
   vec_f64 log_u1{};
   log_lanes(u1, log_u1);
   const vec_f64 r2 = -2.0 * log_u1;
   vec_f64 r{};
-  for (std::size_t i = 0; i < kLanes; ++i) r[i] = std::sqrt(r2[i]);
+  for (std::size_t i = 0; i < kWidth; ++i) r[i] = std::sqrt(r2[i]);
   const vec_f64 theta = (2.0 * M_PI) * u2;  // the reference's θ, bit for bit
   vec_f64 sin_theta{}, cos_theta{};
   sincos_lanes(theta, sin_theta, cos_theta);
@@ -165,67 +174,105 @@ void fast_pairs(const vec_f64& u1, const vec_f64& u2, vec_f64& cos_half,
 
 // All-ones in lanes where every double within B·|y| of y rounds to the same
 // float as y.
-inline void rounds_surely(const vec_f64& y, vec_u32& sure) noexcept {
+inline void rounds_surely(const vec_f64& y, vec_i32& sure) noexcept {
   const vec_f64 band = kBand * (vec_f64)((vec_u64)y & ~kSignBit);
   const vec_f32 lo = __builtin_convertvector(y - band, vec_f32);
   const vec_f32 hi = __builtin_convertvector(y + band, vec_f32);
-  sure = (vec_u32)(lo == hi);
+  sure = lo == hi;
+}
+
+// Bit i set where lane i of the compare result `m` is set.
+inline std::uint32_t lane_bits(const vec_i32& m) noexcept {
+#if defined(__AVX512F__)
+  return static_cast<std::uint32_t>(_mm256_movemask_ps((__m256)m));
+#elif defined(__AVX__)
+  return static_cast<std::uint32_t>(_mm_movemask_ps((__m128)m));
+#else
+  return (m[0] != 0 ? 1u : 0u) | (m[1] != 0 ? 2u : 0u);
+#endif
+}
+
+// The cos and sin halves of each lane, side by side in stream order.
+inline void interleave(const vec_f32& c, const vec_f32& s,
+                       vec_f32x2& out) noexcept {
+#if defined(__AVX512F__)
+  out = __builtin_shufflevector(c, s, 0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13,
+                                6, 14, 7, 15);
+#elif defined(__AVX__)
+  out = __builtin_shufflevector(c, s, 0, 4, 1, 5, 2, 6, 3, 7);
+#else
+  out = __builtin_shufflevector(c, s, 0, 2, 1, 3);
+#endif
+}
+
+// The fast path's scaled halves of kStep pairs into halves[0 .. 2 kStep).
+// Returns a mask with bit i set where pair i's floats are not proven equal
+// to the reference's.
+inline std::uint32_t fast_step(const double* u1, const double* u2,
+                               double scale, float* halves) noexcept {
+  std::uint32_t unsure = 0;
+  for (std::size_t h = 0; h < kStep; h += kWidth) {
+    vec_f64 a{}, b{}, c{}, s{};
+    std::memcpy(&a, u1 + h, sizeof a);
+    std::memcpy(&b, u2 + h, sizeof b);
+    fast_pairs(a, b, c, s);
+    const vec_f64 yc = c * scale;
+    const vec_f64 ys = s * scale;
+    vec_i32 sure_c{}, sure_s{};
+    rounds_surely(yc, sure_c);
+    rounds_surely(ys, sure_s);
+    vec_f32x2 both{};
+    interleave(__builtin_convertvector(yc, vec_f32),
+               __builtin_convertvector(ys, vec_f32), both);
+    std::memcpy(halves + 2 * h, &both, sizeof both);
+    unsure |= (~lane_bits(sure_c & sure_s) & ((1u << kWidth) - 1)) << h;
+  }
+  return unsure;
 }
 
 }  // namespace
 
-void box_muller_fast(std::span<const double, kNormalLanes> u1,
-                     std::span<const double, kNormalLanes> u2,
-                     std::span<double, kNormalLanes> cos_half,
-                     std::span<double, kNormalLanes> sin_half) noexcept {
-  vec_f64 a{}, b{}, c{}, s{};
-  std::memcpy(&a, u1.data(), sizeof a);
-  std::memcpy(&b, u2.data(), sizeof b);
-  fast_pairs(a, b, c, s);
-  std::memcpy(cos_half.data(), &c, sizeof c);
-  std::memcpy(sin_half.data(), &s, sizeof s);
+void box_muller_fast(std::span<const double> u1, std::span<const double> u2,
+                     std::span<double> cos_half,
+                     std::span<double> sin_half) noexcept {
+  for (std::size_t i = 0; i < u1.size(); i += kWidth) {
+    const std::size_t n = std::min(kWidth, u1.size() - i);
+    vec_f64 a = vec_f64{} + 0.5, b{}, c{}, s{};
+    std::memcpy(&a, &u1[i], n * sizeof(double));
+    std::memcpy(&b, &u2[i], n * sizeof(double));
+    fast_pairs(a, b, c, s);
+    std::memcpy(&cos_half[i], &c, n * sizeof(double));
+    std::memcpy(&sin_half[i], &s, n * sizeof(double));
+  }
 }
 
-std::size_t add_normal_pairs(std::span<const double, kNormalLanes> u1,
-                             std::span<const double, kNormalLanes> u2,
-                             std::size_t pairs, double scale,
-                             const float* base, float* out) noexcept {
-  vec_f64 a{}, b{}, c{}, s{};
-  std::memcpy(&a, u1.data(), sizeof a);
-  std::memcpy(&b, u2.data(), sizeof b);
-  fast_pairs(a, b, c, s);
-  const vec_f64 yc = c * scale;
-  const vec_f64 ys = s * scale;
-  vec_u32 sure_c{}, sure_s{};
-  rounds_surely(yc, sure_c);
-  rounds_surely(ys, sure_s);
-  const vec_u32 sure = sure_c & sure_s;
-  const vec_f32 fc = __builtin_convertvector(yc, vec_f32);
-  const vec_f32 fs = __builtin_convertvector(ys, vec_f32);
-
-  bool all_sure = pairs == kLanes;
-  for (std::size_t p = 0; p < kLanes; ++p) all_sure &= sure[p] != 0;
-  if (all_sure) {
-    // Interleave to stream order: cos half, sin half, next pair, ...
-    const vec_f32x2 noise = __builtin_shufflevector(
-        fc, fs, 0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15);
-    vec_f32x2 sum{};
-    std::memcpy(&sum, base, sizeof sum);
-    sum += noise;
-    std::memcpy(out, &sum, sizeof sum);
-    return 0;
-  }
+std::size_t scaled_normal_pairs(std::span<const double> u1,
+                                std::span<const double> u2, double scale,
+                                std::span<float> halves) noexcept {
   std::size_t fallbacks = 0;
-  for (std::size_t p = 0; p < pairs; ++p) {
-    if (sure[p] != 0) {
-      out[2 * p] = base[2 * p] + fc[p];
-      out[2 * p + 1] = base[2 * p + 1] + fs[p];
-      continue;
+  for (std::size_t i = 0; i < u1.size(); i += kStep) {
+    const std::size_t n = std::min(kStep, u1.size() - i);
+    std::uint32_t unsure = 0;
+    if (n == kStep) {
+      unsure = fast_step(&u1[i], &u2[i], scale, &halves[2 * i]);
+    } else {
+      // A short last step runs on padded copies; only n pairs come back.
+      double a[kStep], b[kStep];
+      float h[2 * kStep];
+      std::fill_n(a, kStep, 0.5);
+      std::fill_n(b, kStep, 0.0);
+      std::copy_n(&u1[i], n, a);
+      std::copy_n(&u2[i], n, b);
+      unsure = fast_step(a, b, scale, h) & ((std::uint32_t{1} << n) - 1);
+      std::copy_n(h, 2 * n, &halves[2 * i]);
     }
-    ++fallbacks;
-    const NormalPair ref = box_muller(u1[p], u2[p]);
-    out[2 * p] = base[2 * p] + static_cast<float>(ref.cos_half * scale);
-    out[2 * p + 1] = base[2 * p + 1] + static_cast<float>(ref.sin_half * scale);
+    for (; unsure != 0; unsure &= unsure - 1) {
+      const std::size_t p = i + static_cast<std::size_t>(__builtin_ctz(unsure));
+      const NormalPair ref = box_muller(u1[p], u2[p]);
+      halves[2 * p] = static_cast<float>(ref.cos_half * scale);
+      halves[2 * p + 1] = static_cast<float>(ref.sin_half * scale);
+      ++fallbacks;
+    }
   }
   return fallbacks;
 }

@@ -8,13 +8,6 @@
 
 namespace groupfel::runtime {
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 namespace detail {
 
 NormalPair box_muller(double u1, double u2) noexcept {
@@ -91,16 +84,17 @@ void Rng::add_normals(std::span<const float> base, double scale,
     out[0] = base[0] + static_cast<float>(normal() * scale);
     d = 1;
   }
-  // Lanes past `pairs` in a short last batch keep valid earlier uniforms;
-  // their results are discarded.
   std::array<double, detail::kNormalLanes> u1{}, u2{};
-  u1.fill(0.5);
+  std::array<float, 2 * detail::kNormalLanes> halves{};
   while (n - d >= 2) {
     const std::size_t pairs = std::min(detail::kNormalLanes, (n - d) / 2);
     for (std::size_t p = 0; p < pairs; ++p)
       draw_pair_uniforms(*this, u1[p], u2[p]);
-    (void)detail::add_normal_pairs(u1, u2, pairs, scale, base.data() + d,
-                                   out.data() + d);
+    (void)detail::scaled_normal_pairs(std::span(u1).first(pairs),
+                                      std::span(u2).first(pairs), scale,
+                                      std::span(halves).first(2 * pairs));
+    for (std::size_t k = 0; k < 2 * pairs; ++k)
+      out[d + k] = base[d + k] + halves[k];
     d += 2 * pairs;
   }
   if (d < n) out[d] = base[d] + static_cast<float>(normal() * scale);

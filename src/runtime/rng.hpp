@@ -15,8 +15,14 @@
 
 namespace groupfel::runtime {
 
-/// splitmix64 step; used to derive seeds and to seed xoshiro state.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// splitmix64 step; used to derive seeds and to seed xoshiro state. Inline
+/// so lane kernels that seed many streams at once can vectorise it.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
 
 namespace detail {
 
@@ -31,26 +37,28 @@ struct NormalPair {
 /// the bulk kernel's per-pair fallback both call it, so it is defined once.
 [[nodiscard]] NormalPair box_muller(double u1, double u2) noexcept;
 
-/// Pairs per bulk-kernel call.
-inline constexpr std::size_t kNormalLanes = 8;
+/// Pairs Rng::add_normals draws per scaled_normal_pairs() call.
+inline constexpr std::size_t kNormalLanes = 16;
 
-/// The kernel's vector fast path alone, for kNormalLanes pairs with
-/// u1 in (0, 1) and u2 in [0, 1). Relative error against box_muller() is far
-/// below the 2^-36 band add_normal_pairs() tests; exposed for accuracy tests.
-void box_muller_fast(std::span<const double, kNormalLanes> u1,
-                     std::span<const double, kNormalLanes> u2,
-                     std::span<double, kNormalLanes> cos_half,
-                     std::span<double, kNormalLanes> sin_half) noexcept;
+/// The kernel's vector fast path alone, for u1[i] in (0, 1) and u2[i] in
+/// [0, 1), all four spans of one length. Relative error against
+/// box_muller() is far below the 2^-36 band scaled_normal_pairs() tests;
+/// exposed for accuracy tests.
+void box_muller_fast(std::span<const double> u1, std::span<const double> u2,
+                     std::span<double> cos_half,
+                     std::span<double> sin_half) noexcept;
 
-/// out[2p + h] = base[2p + h] + float(pair_p.half_h * scale) for the first
-/// `pairs` (<= kNormalLanes) pairs, with h = 0 the cos half and h = 1 the
-/// sin half. A pair whose fast value is not certain to round to the same
-/// float as the reference is recomputed through box_muller(). Returns the
-/// number of pairs that took that fallback.
-std::size_t add_normal_pairs(std::span<const double, kNormalLanes> u1,
-                             std::span<const double, kNormalLanes> u2,
-                             std::size_t pairs, double scale,
-                             const float* base, float* out) noexcept;
+/// halves[2i] = float(box_muller(u1[i], u2[i]).cos_half * scale) and
+/// halves[2i + 1] = float(... .sin_half * scale) for every pair i, with
+/// u1[i] in (0, 1) and u2[i] in [0, 1), u1 and u2 of one length and halves
+/// twice as long. The pairs run through the vector fast path
+/// (runtime/normal_bulk.cpp), two native registers at a time; a pair whose
+/// fast value is not certain to round to the same float as the reference
+/// is recomputed through box_muller(). Returns the number of pairs that
+/// took that fallback.
+std::size_t scaled_normal_pairs(std::span<const double> u1,
+                                std::span<const double> u2, double scale,
+                                std::span<float> halves) noexcept;
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
@@ -94,9 +102,19 @@ void categorical_counts(std::span<const CategoricalStream> streams);
 class Rng {
  public:
   using result_type = std::uint64_t;
+  using State = std::array<std::uint64_t, 4>;
 
-  /// Seeds all 256 bits of state from `seed` via splitmix64.
+  /// Seeds all 256 bits of state from `seed` via splitmix64: word i is the
+  /// (i + 1)-th splitmix64() step from state `seed`.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) noexcept;
+
+  /// The xoshiro256++ state words. Lane kernels that advance many streams
+  /// at once in vector registers (runtime/categorical_bulk.cpp,
+  /// data/lazy_shard.cpp) read a stream's words with state() and hand them
+  /// back with set_state(), after which the stream continues exactly. The
+  /// cached normal is not part of the words: set_state() keeps it.
+  [[nodiscard]] const State& state() const noexcept { return s_; }
+  void set_state(const State& s) noexcept { s_ = s; }
 
   /// Derives an independent child stream; `salt` distinguishes siblings.
   [[nodiscard]] Rng fork(std::uint64_t salt) const noexcept;
@@ -140,9 +158,10 @@ class Rng {
   /// Bulk Gaussian noise: writes exactly what the loop
   ///   out[d] = base[d] + static_cast<float>(normal() * scale)
   /// writes, and leaves the stream (position and cached half-pair) exactly
-  /// where that loop leaves it. Full pairs go through the 8-lane kernel in
-  /// normal_bulk.cpp; an odd last value goes through normal(), which caches
-  /// its sin half. Requires base.size() == out.size().
+  /// where that loop leaves it. Full pairs go through
+  /// detail::scaled_normal_pairs(), kNormalLanes at a time; an odd last
+  /// value goes through normal(), which caches its sin half. Requires
+  /// base.size() == out.size().
   void add_normals(std::span<const float> base, double scale,
                    std::span<float> out) noexcept;
 
@@ -188,9 +207,7 @@ class Rng {
       std::size_t n, std::size_t k);
 
  private:
-  friend void categorical_counts(std::span<const CategoricalStream> streams);
-
-  std::array<std::uint64_t, 4> s_{};
+  State s_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };

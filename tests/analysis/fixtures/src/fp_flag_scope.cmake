@@ -11,9 +11,10 @@ set_source_files_properties(nn/gemm.cpp PROPERTIES
 # FINDING x2: two more TUs get -ffast-math through the same flag set.
 set_source_files_properties(nn/layers.cpp nn/tensor.cpp PROPERTIES
   COMPILE_OPTIONS "${GROUPFEL_KERNEL_FLAGS}")
-# Not a finding: both conv TUs, the CoV scan and the scalar CoV keep
-# contraction off.
-set_source_files_properties(nn/conv.cpp nn/im2col.cpp PROPERTIES
+# Not a finding: both conv TUs, lazy shard synthesis, the CoV scan and the
+# scalar CoV keep contraction off.
+set_source_files_properties(nn/conv.cpp nn/im2col.cpp data/lazy_shard.cpp
+  PROPERTIES
   COMPILE_OPTIONS "${GROUPFEL_ELEMENTWISE_FLAGS};-ffp-contract=off")
 set_source_files_properties(grouping/cov_scan.cpp PROPERTIES
   COMPILE_OPTIONS "${GROUPFEL_ELEMENTWISE_FLAGS};-ffp-contract=off")

@@ -8,7 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <thread>
 
 #if defined(__linux__)
 #include <sys/resource.h>
@@ -117,6 +122,159 @@ TEST(LazyShardSource, MaterializedPopulationBitIdenticalToLazy) {
     mat.shards[c].batch_into(all, resident);
     expect_batches_equal(lazy, resident);
   }
+}
+
+/// Clients of the given sizes over `classes` labels, each with a skewed
+/// histogram and its own seed.
+ClientPopulation sized_population(std::span<const std::size_t> sizes,
+                                  std::size_t classes, std::uint64_t seed) {
+  ClientPopulation pop(sizes.size(), classes);
+  runtime::Rng rng(seed);
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
+    const std::vector<double> props = rng.dirichlet(0.3, classes);
+    const auto row = pop.label_counts_mutable(c);
+    for (std::size_t j = 0; j < sizes[c]; ++j) ++row[rng.categorical(props)];
+    pop.set_data_count(c, sizes[c]);
+    pop.set_seed(c, rng.next_u64());
+  }
+  return pop;
+}
+
+/// Client c's samples through the scalar reference, one stream at a time.
+DataSet::Batch scalar_client(const LazyShardSource& source, std::size_t c) {
+  const ClientPopulation& pop = source.population();
+  const std::vector<float> prototypes = make_prototypes(source.spec());
+  const std::size_t dim = source.sample_size();
+  DataSet::Batch out;
+  prepare_batch(source.sample_shape(), pop.data_count(c), out);
+  for (std::size_t j = 0; j < pop.data_count(c); ++j)
+    out.labels[j] = synthesize_sample(
+        source.spec(), prototypes, sample_stream_seed(pop.seed(c), j),
+        pop.intended_class(c, j), out.features.raw() + j * dim);
+  return out;
+}
+
+bool same_bytes(const DataSet::Batch& a, const DataSet::Batch& b) {
+  return a.labels == b.labels &&
+         a.features.size() == b.features.size() &&
+         std::memcmp(a.features.raw(), b.features.raw(),
+                     a.features.size() * sizeof(float)) == 0;
+}
+
+// The eight-lane synthesis (and batch_into's memo on top of it) must give
+// every sample byte for byte as synthesize_sample() does: even and odd
+// dims, one to three modes, with and without label noise, clients shorter
+// than, equal to and longer than one lane group.
+TEST(LazyShard, LaneSynthesisMatchesScalarSamples) {
+  const std::vector<std::size_t> sizes = {1, 7, 8, 9, 200, 401};
+  for (const std::size_t dim : {32, 40, 768, 75}) {
+    for (const std::size_t modes : {1, 2, 3}) {
+      for (const double noise : {0.0, 0.15}) {
+        SyntheticSpec spec;
+        spec.num_classes = 10;
+        spec.sample_shape = {dim};
+        spec.modes_per_class = modes;
+        spec.label_noise = noise;
+        spec.noise_scale = 1.4;
+        const LazyShardSource source(
+            spec, sized_population(sizes, spec.num_classes, dim * 7 + modes));
+        const std::string where = "dim " + std::to_string(dim) + " modes " +
+                                  std::to_string(modes) + " noise " +
+                                  std::to_string(noise);
+        for (std::size_t c = 0; c < sizes.size(); ++c) {
+          const DataSet::Batch want = scalar_client(source, c);
+          ASSERT_TRUE(same_bytes(source.materialize_client(c), want))
+              << where << " client " << c;
+          // Every position once, reversed, plus a repeat.
+          std::vector<std::size_t> positions(sizes[c]);
+          std::iota(positions.rbegin(), positions.rend(), std::size_t{0});
+          positions.push_back(sizes[c] / 2);
+          DataSet::Batch got;
+          source.batch_into(c, positions, got);
+          ASSERT_EQ(got.labels.size(), positions.size());
+          for (std::size_t i = 0; i < positions.size(); ++i) {
+            const std::size_t j = positions[i];
+            ASSERT_EQ(got.labels[i], want.labels[j]) << where;
+            ASSERT_EQ(std::memcmp(got.features.raw() + i * dim,
+                                  want.features.raw() + j * dim,
+                                  dim * sizeof(float)),
+                      0)
+                << where << " client " << c << " position " << j;
+          }
+          const std::vector<std::size_t> bad = {0, sizes[c]};
+          EXPECT_THROW(source.batch_into(c, bad, got), std::out_of_range);
+        }
+      }
+    }
+  }
+}
+
+// The per-thread memo holds one client of one source: interleaving clients
+// and sources on one thread must re-synthesize, never serve the other's rows.
+TEST(LazyShardMemo, InterleavedClientsAndSourcesStayExact) {
+  const LazyShardSource a = make_source(17);
+  const LazyShardSource b = make_source(18);
+  const std::vector<std::pair<const LazyShardSource*, std::size_t>> reads = {
+      {&a, 3}, {&b, 3}, {&a, 3}, {&a, 4}, {&b, 4}, {&b, 3}, {&a, 4}, {&a, 3}};
+  for (const auto& [source, c] : reads) {
+    std::vector<std::size_t> all(source->data_count(c));
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    DataSet::Batch got;
+    source->batch_into(c, all, got);
+    EXPECT_TRUE(same_bytes(got, scalar_client(*source, c)))
+        << (source == &a ? "a" : "b") << " client " << c;
+  }
+}
+
+// A source built where a destroyed one lived gets a new memo key, so the
+// dead source's rows are never served for it.
+TEST(LazyShardMemo, NewSourceAtFreedAddressGetsNoStaleRows) {
+  std::optional<LazyShardSource> slot;
+  slot.emplace(make_source(17));
+  const LazyShardSource* first = &*slot;
+  const std::size_t c = 5;
+  std::vector<std::size_t> all(slot->data_count(c));
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  DataSet::Batch old_rows;
+  slot->batch_into(c, all, old_rows);  // fills this thread's memo
+
+  slot.reset();
+  slot.emplace(make_source(99));
+  ASSERT_EQ(&*slot, first);
+  all.resize(slot->data_count(c));
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  DataSet::Batch got;
+  slot->batch_into(c, all, got);
+  const DataSet::Batch want = scalar_client(*slot, c);
+  EXPECT_FALSE(same_bytes(want, old_rows));
+  EXPECT_TRUE(same_bytes(got, want));
+}
+
+// Four threads reading one source, each in its own client order, each see
+// exactly the scalar samples (the memo is per thread; tsan checks the rest).
+TEST(LazyShardMemo, FourThreadsReadOneSource) {
+  const LazyShardSource source = make_source(23);
+  std::vector<DataSet::Batch> want;
+  for (std::size_t c = 0; c < source.num_clients(); ++c)
+    want.push_back(scalar_client(source, c));
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      DataSet::Batch got;
+      for (std::size_t round = 0; round < 3; ++round) {
+        for (std::size_t k = 0; k < source.num_clients(); ++k) {
+          const std::size_t c = (k * (2 * t + 1) + round) % source.num_clients();
+          std::vector<std::size_t> all(source.data_count(c));
+          std::iota(all.begin(), all.end(), std::size_t{0});
+          source.batch_into(c, all, got);
+          if (!same_bytes(got, want[c])) ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(DescriptorPartition, DeterministicInSeed) {

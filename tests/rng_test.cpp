@@ -500,7 +500,7 @@ TEST(Rng, CategoricalLanesMatchTheChainOnBoundaryValues) {
                         chain_draw, "lone");
 }
 
-// ---- Bulk normals (Rng::add_normals and its 8-lane kernel) ----------------
+// ---- Bulk normals (Rng::add_normals and its vector kernel) -----------------
 
 // The loop add_normals must reproduce, value for value.
 void add_normals_reference(Rng& rng, std::span<const float> base,
@@ -656,27 +656,20 @@ TEST(RngAddNormals, NearMidpointPairsTakeTheFallback) {
   // Roughly 2^-11 of pairs: the search is not accidentally degenerate.
   EXPECT_LT(searched, std::size_t{2000000});
 
-  std::vector<float> base(2 * detail::kNormalLanes);
-  for (std::size_t i = 0; i < base.size(); ++i)
-    base[i] = 0.125f * static_cast<float>(i);
   for (std::size_t first = 0; first < found.size();
        first += detail::kNormalLanes) {
+    // A full call and a short one (padded inside the kernel).
     for (const std::size_t pairs : {detail::kNormalLanes, std::size_t{3}}) {
-      std::array<double, detail::kNormalLanes> u1{}, u2{};
+      std::vector<double> u1(pairs), u2(pairs);
       std::vector<float> want(2 * pairs), got(2 * pairs);
-      for (std::size_t p = 0; p < detail::kNormalLanes; ++p) {
+      for (std::size_t p = 0; p < pairs; ++p) {
         u1[p] = found[first + p].first;
         u2[p] = found[first + p].second;
-      }
-      for (std::size_t p = 0; p < pairs; ++p) {
         const detail::NormalPair ref = detail::box_muller(u1[p], u2[p]);
-        want[2 * p] = base[2 * p] + static_cast<float>(ref.cos_half * kScale);
-        want[2 * p + 1] =
-            base[2 * p + 1] + static_cast<float>(ref.sin_half * kScale);
+        want[2 * p] = static_cast<float>(ref.cos_half * kScale);
+        want[2 * p + 1] = static_cast<float>(ref.sin_half * kScale);
       }
-      EXPECT_EQ(detail::add_normal_pairs(u1, u2, pairs, kScale, base.data(),
-                                         got.data()),
-                pairs);
+      EXPECT_EQ(detail::scaled_normal_pairs(u1, u2, kScale, got), pairs);
       EXPECT_TRUE(same_bytes(want, got));
     }
   }
@@ -684,19 +677,58 @@ TEST(RngAddNormals, NearMidpointPairsTakeTheFallback) {
   // Random pairs rarely fall back (the kernel's fast path is the norm).
   std::size_t fallbacks = 0, total = 0;
   std::array<double, detail::kNormalLanes> u1{}, u2{};
-  std::vector<float> out(2 * detail::kNormalLanes);
+  std::array<float, 2 * detail::kNormalLanes> halves{};
   for (int call = 0; call < 20000; ++call) {
     for (std::size_t p = 0; p < detail::kNormalLanes; ++p) {
       u1[p] = rng.next_double();
       while (u1[p] <= 1e-300) u1[p] = rng.next_double();
       u2[p] = rng.next_double();
     }
-    fallbacks += detail::add_normal_pairs(u1, u2, detail::kNormalLanes,
-                                          kScale, base.data(), out.data());
+    fallbacks += detail::scaled_normal_pairs(u1, u2, kScale, halves);
     total += detail::kNormalLanes;
   }
   EXPECT_LT(static_cast<double>(fallbacks) / static_cast<double>(total),
             0.005);
+}
+
+// Where the fast value and the reference straddle a float rounding
+// boundary, only the fallback gives the reference's float. Such pairs are
+// rare at any fixed scale, so this test makes them: for a pair whose fast
+// cos half f differs from the reference r, it picks a scale s with r·s
+// exactly a float midpoint M (which rounds to even) and f·s on M's other
+// side, so float(f·s) is the other neighbour of M.
+TEST(RngAddNormals, FallbackRepairsFastValuesThatRoundTheOtherWay) {
+  Rng rng(4242);
+  std::size_t made = 0, tried = 0;
+  while (made < 64 && tried < 1000000) {
+    ++tried;
+    double u1 = rng.next_double();
+    while (u1 <= 1e-300) u1 = rng.next_double();
+    const double u2 = rng.next_double();
+    const std::array<double, 1> a{u1}, b{u2};
+    std::array<double, 1> c{}, sn{};
+    detail::box_muller_fast(a, b, c, sn);
+    const detail::NormalPair ref = detail::box_muller(u1, u2);
+    const double r = std::abs(ref.cos_half), f = std::abs(c[0]);
+    if (f == r || r < 1e-3) continue;
+    // 1 + 2^-24 rounds down to the even 1; 1 + 3·2^-24 rounds up to the
+    // even 1 + 2^-22. Take the one f·s leaves on its odd side.
+    const double mid = f > r ? 1.0 + 0x1p-24 : 1.0 + 3 * 0x1p-24;
+    double scale = mid / r;
+    for (int step = 0; step < 8 && scale * r != mid; ++step)
+      scale = std::nextafter(scale, scale * r < mid ? 2 * scale : 0.0);
+    if (scale * r != mid || (f > r ? scale * f <= mid : scale * f >= mid))
+      continue;
+    if (ref.cos_half < 0) scale = -scale;  // y = cos_half · scale > 0
+    const float want_cos = static_cast<float>(ref.cos_half * scale);
+    ASSERT_NE(want_cos, static_cast<float>(c[0] * scale));
+    std::array<float, 2> got{};
+    detail::scaled_normal_pairs(a, b, scale, got);
+    ASSERT_EQ(got[0], want_cos) << "u1 " << u1 << " u2 " << u2;
+    ASSERT_EQ(got[1], static_cast<float>(ref.sin_half * scale));
+    ++made;
+  }
+  EXPECT_EQ(made, 64u) << "only " << made << " cases in " << tried << " pairs";
 }
 
 }  // namespace
