@@ -50,7 +50,6 @@
 #include "data/label_matrix.hpp"
 #include "data/lazy_shard.hpp"
 #include "data/synthetic.hpp"
-#include "grouping/candidate_pool.hpp"
 #include "grouping/grouping.hpp"
 #include "nn/layer.hpp"
 #include "nn/tensor.hpp"
@@ -461,37 +460,36 @@ KernelReport bench_partition_categorical(std::size_t clients,
   return r;
 }
 
-/// The scalar candidate scan the keyed scan must match: one
-/// IncrementalCov::value_with per live candidate, first minimum kept.
+/// The scalar greedy the keyed scan must match: candidates in a vector that
+/// erases each admitted client, one IncrementalCov::value_with per
+/// candidate, first minimum kept.
 void scalar_scan_greedy(const data::LabelMatrix& matrix,
                         const grouping::GroupingParams& params,
-                        runtime::Rng& rng, std::vector<std::size_t> items,
+                        runtime::Rng& rng, std::vector<std::size_t> pool,
                         grouping::Grouping& groups) {
-  grouping::CandidatePool pool(std::move(items));
   while (!pool.empty()) {
-    const std::size_t first = pool.nth_live_slot(rng.next_below(pool.size()));
-    std::vector<std::size_t> group{pool.client(first)};
-    pool.remove(first);
+    const std::size_t first = rng.next_below(pool.size());
+    std::vector<std::size_t> group{pool[first]};
+    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(first));
     grouping::IncrementalCov inc(matrix.num_labels());
     inc.add(matrix.row(group[0]));
     while ((inc.value() > params.max_cov ||
             group.size() < params.min_group_size) &&
            !pool.empty()) {
       double best_cov = std::numeric_limits<double>::infinity();
-      std::size_t best_slot = 0;
-      pool.for_each([&](std::size_t slot, std::size_t client) {
-        const double c = inc.value_with(matrix.row(client));
+      std::size_t best_pos = 0;
+      for (std::size_t pos = 0; pos < pool.size(); ++pos) {
+        const double c = inc.value_with(matrix.row(pool[pos]));
         if (c < best_cov) {
           best_cov = c;
-          best_slot = slot;
+          best_pos = pos;
         }
-      });
+      }
       if (!(best_cov < inc.value() || group.size() < params.min_group_size))
         break;
-      const std::size_t chosen = pool.client(best_slot);
-      inc.add(matrix.row(chosen));
-      group.push_back(chosen);
-      pool.remove(best_slot);
+      inc.add(matrix.row(pool[best_pos]));
+      group.push_back(pool[best_pos]);
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best_pos));
     }
     groups.push_back(std::move(group));
   }

@@ -3,10 +3,8 @@
 // the cloud can address any group's members directly.
 #pragma once
 
-#include <span>
 #include <vector>
 
-#include "core/client.hpp"
 #include "data/label_matrix.hpp"
 #include "grouping/grouping.hpp"
 
@@ -19,15 +17,6 @@ struct FormedGroup {
   std::size_t data_count = 0;        ///< n_g
   double cov = 0.0;                  ///< CoV of combined label counts
 };
-
-/// hist[s] = number of groups with exactly s members. At fleet scale this
-/// replaces per-group inspection: one O(groups) pass, then any size
-/// statistic (and the scale bench's distribution plot) reads the histogram.
-/// `pool` shards the pass into fixed group blocks whose integer partials
-/// merge in block order — bit-identical for any pool size.
-[[nodiscard]] std::vector<std::size_t> group_size_histogram(
-    std::span<const FormedGroup> groups,
-    runtime::ThreadPool* pool = nullptr);
 
 class EdgeServer {
  public:

@@ -70,32 +70,4 @@ std::vector<MeasurementPoint> measure_training(
   return points;
 }
 
-namespace {
-void split_xy(std::span<const MeasurementPoint> points, std::vector<double>& x,
-              std::vector<double>& y, double scale) {
-  x.clear();
-  y.clear();
-  for (const auto& p : points) {
-    x.push_back(p.x);
-    y.push_back(p.seconds * scale);
-  }
-}
-}  // namespace
-
-QuadraticCost fit_group_op(std::span<const MeasurementPoint> points,
-                           double scale) {
-  std::vector<double> x, y;
-  split_xy(points, x, y, scale);
-  const util::QuadraticFit fit = util::fit_quadratic(x, y);
-  return QuadraticCost{fit.a, fit.b, fit.c};
-}
-
-LinearCost fit_training(std::span<const MeasurementPoint> points,
-                        double scale) {
-  std::vector<double> x, y;
-  split_xy(points, x, y, scale);
-  const util::LinearFit fit = util::fit_linear(x, y);
-  return LinearCost{fit.slope, fit.intercept};
-}
-
 }  // namespace groupfel::cost

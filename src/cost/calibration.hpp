@@ -1,14 +1,13 @@
 // Cost-model calibration from wall-clock measurements of THIS repository's
 // own implementations — the substitute for the paper's Raspberry-Pi
 // measurements (Fig. 8). The measured curves confirm the functional shapes
-// (quadratic group ops, linear training) and can be scaled into a CostModel.
+// (quadratic group ops, linear training); `figures` fits them with
+// util::fit_quadratic and util::fit_linear.
 #pragma once
 
-#include <functional>
+#include <cstddef>
+#include <span>
 #include <vector>
-
-#include "cost/cost_model.hpp"
-#include "util/stats.hpp"
 
 namespace groupfel::cost {
 
@@ -32,14 +31,5 @@ struct MeasurementPoint {
 [[nodiscard]] std::vector<MeasurementPoint> measure_training(
     std::span<const std::size_t> sample_counts, std::size_t feature_dim,
     std::size_t num_classes);
-
-/// Fits a quadratic to group-op measurements, optionally scaling time by
-/// `scale` (e.g. to map this host's speed onto RPi-class seconds).
-[[nodiscard]] QuadraticCost fit_group_op(
-    std::span<const MeasurementPoint> points, double scale = 1.0);
-
-/// Fits a linear model to training measurements.
-[[nodiscard]] LinearCost fit_training(std::span<const MeasurementPoint> points,
-                                      double scale = 1.0);
 
 }  // namespace groupfel::cost

@@ -11,9 +11,10 @@
 // Default constants reproduce the Raspberry-Pi-4 measurement shapes of
 // Fig. 8 (seconds): at 50 samples CIFAR training costs ~50 s and SC ~18 s;
 // at group size 50 SecAgg costs ~45 s, backdoor detection ~25 s, and
-// SCAFFOLD SecAgg ~60 s (double communication volume). The calibration API
-// (cost/calibration.hpp) refits these from wall-clock measurements of this
-// repository's own secagg/backdoor implementations.
+// SCAFFOLD SecAgg ~60 s (double communication volume). The calibration
+// functions (cost/calibration.hpp) measure the same shapes on this
+// repository's own secagg/backdoor implementations; the constants here are
+// not refitted from them.
 #pragma once
 
 #include <span>

@@ -49,17 +49,6 @@ void IncrementalCov::add(Row client_counts) {
   }
 }
 
-void IncrementalCov::remove(Row client_counts) {
-  if (client_counts.size() != counts_.size())
-    throw std::invalid_argument("IncrementalCov::remove: label count mismatch");
-  for (std::size_t j = 0; j < counts_.size(); ++j) {
-    if (counts_[j] < client_counts[j])
-      throw std::logic_error("IncrementalCov::remove: underflow");
-    counts_[j] -= client_counts[j];
-    total_ -= client_counts[j];
-  }
-}
-
 double IncrementalCov::value() const { return cov(counts_); }
 
 double IncrementalCov::value_with(Row client_counts) const {

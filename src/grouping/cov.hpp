@@ -43,7 +43,6 @@ class IncrementalCov {
   explicit IncrementalCov(std::size_t num_labels);
 
   void add(Row client_counts);
-  void remove(Row client_counts);
 
   /// CoV of the current group.
   [[nodiscard]] double value() const;

@@ -9,7 +9,6 @@
 // once-shuffled pool, one RNG stream per window, concurrently on the
 // caller's ThreadPool (grouping/windowed.hpp); window 0 is the classic
 // whole-pool greedy.
-#include "grouping/candidate_pool.hpp"
 #include "grouping/cov_scan.hpp"
 #include "grouping/windowed.hpp"
 
@@ -19,26 +18,21 @@ namespace {
 
 /// Algorithm 2 over one candidate pool; consumes `pool_items`, appends to
 /// `groups`. RNG draws: one next_below per opened group (line 3). The
-/// tombstone pool keeps candidate visit order identical to the historical
-/// erase-based pool, and the candidate scan returns the slot and CoV bits of
-/// the scalar first-minimum scan over IncrementalCov::value_with
+/// candidate lanes keep the live candidates in the order of a vector that
+/// erases each admitted client, and their scan returns the slot and CoV bits
+/// of the scalar first-minimum scan over IncrementalCov::value_with
 /// (grouping/cov_scan.hpp), so the output is byte-identical to the
 /// erase-based scalar greedy.
 void greedy_over_pool(const data::LabelMatrix& matrix,
                       const GroupingParams& params, runtime::Rng& rng,
                       std::vector<std::size_t> pool_items, Grouping& groups) {
-  CovCandidateLanes lanes(matrix, pool_items);
-  CandidatePool pool(std::move(pool_items));
-  const auto take = [&](std::size_t slot) {
-    lanes.remove(slot);
-    if (pool.remove(slot)) lanes.compact();
-  };
+  CovCandidateLanes pool(matrix, std::move(pool_items));
   while (!pool.empty()) {
     // Line 3: random first client — the paper notes this randomization is
     // what makes periodic regrouping produce fresh groups.
     const std::size_t first_slot = pool.nth_live_slot(rng.next_below(pool.size()));
     std::vector<std::size_t> group{pool.client(first_slot)};
-    take(first_slot);
+    pool.take(first_slot);
 
     IncrementalCov inc(matrix.num_labels());
     inc.add(matrix.row(group[0]));
@@ -50,14 +44,14 @@ void greedy_over_pool(const data::LabelMatrix& matrix,
            !pool.empty()) {
       // Line 5: the candidate that minimizes CoV(g ∪ c).
       const CovCandidateLanes::Best best =
-          lanes.argmin(inc.counts(), inc.total());
+          pool.argmin(inc.counts(), inc.total());
       // Line 6: add if it improves CoV, or the group is still too small.
       if (best.cov < group_cov || group.size() < params.min_group_size) {
         const std::size_t chosen = pool.client(best.slot);
         inc.add(matrix.row(chosen));
         group_cov = inc.value();
         group.push_back(chosen);
-        take(best.slot);
+        pool.take(best.slot);
       } else {
         break;  // Line 9: finalize (MaxCoV is a soft constraint).
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #if defined(__SSE2__)
 #include <immintrin.h>
@@ -84,10 +85,12 @@ constexpr double kUlp = 0x1p-53;        // u, the unit roundoff
 }  // namespace
 
 CovCandidateLanes::CovCandidateLanes(const data::LabelMatrix& matrix,
-                                     std::span<const std::size_t> items)
+                                     std::vector<std::size_t> clients)
     : labels_(matrix.num_labels()),
-      slots_(items.size()),
-      stride_((items.size() + kCovLanes - 1) / kCovLanes * kCovLanes),
+      slots_(clients.size()),
+      live_(clients.size()),
+      stride_((clients.size() + kCovLanes - 1) / kCovLanes * kCovLanes),
+      clients_(std::move(clients)),
       buffer_((labels_ + 4) * stride_ + kCovLanes, 0.0),
       group_(labels_, 0.0) {
   // Start the rows on a 64-byte boundary; the stride keeps every row there.
@@ -97,7 +100,7 @@ CovCandidateLanes::CovCandidateLanes(const data::LabelMatrix& matrix,
   double* const half_sq = half_squares();
   for (std::size_t s = 0; s < stride_; ++s) half_sq[s] = kInf;
   for (std::size_t s = 0; s < slots_; ++s) {
-    const auto counts = matrix.row(items[s]);
+    const auto counts = matrix.row(clients_[s]);
     std::size_t total = 0;
     double square = 0.0;
     for (std::size_t j = 0; j < labels_; ++j) {
@@ -240,10 +243,23 @@ CovCandidateLanes::Best CovCandidateLanes::argmin(
   return out;
 }
 
-void CovCandidateLanes::remove(std::size_t slot) {
+std::size_t CovCandidateLanes::nth_live_slot(std::size_t pos) const {
+  GF_CHECK(pos < live_, "CovCandidateLanes: nth_live_slot(", pos,
+           ") with only ", live_, " live candidates");
+  const double* const half_sq = half_squares();
+  for (std::size_t s = 0;; ++s) {
+    if (half_sq[s] == kInf) continue;
+    if (pos == 0) return s;
+    --pos;
+  }
+}
+
+void CovCandidateLanes::take(std::size_t slot) {
   GF_CHECK(slot < slots_ && half_squares()[slot] != kInf,
-           "CovCandidateLanes: remove of a dead slot ", slot);
+           "CovCandidateLanes: take of a dead slot ", slot);
   half_squares()[slot] = kInf;
+  --live_;
+  if (live_ * 2 < slots_) compact();
 }
 
 void CovCandidateLanes::compact() {
@@ -253,12 +269,14 @@ void CovCandidateLanes::compact() {
   for (std::size_t s = 0; s < slots_; ++s) {
     if (half_sq[s] == kInf) continue;
     for (std::size_t j = 0; j < labels_; ++j) row(j)[w] = row(j)[s];
+    clients_[w] = clients_[s];
     tot[w] = tot[s];
     const double half_square = half_sq[s];
     half_sq[s] = kInf;
     half_sq[w++] = half_square;
   }
   slots_ = w;
+  clients_.resize(w);
 }
 
 }  // namespace groupfel::grouping

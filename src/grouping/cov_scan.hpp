@@ -1,11 +1,19 @@
 // Candidate scan for the CoV greedy (Algorithm 2, line 5).
 //
 // The greedy evaluates CoV(g ∪ c) for every live candidate c once per
-// admission. CovCandidateLanes keeps a window-local structure-of-arrays copy
-// of the candidates' label counts, one double per count (exact for counts
-// below 2^53), ranks the candidates on an exact integer key, and computes
-// the float CoV only for the few whose key lies within a proven band of the
-// minimum.
+// admission. CovCandidateLanes is the window's candidate set: it holds the
+// candidates' ids and which of them are still live, plus a structure-of-
+// arrays copy of their label counts, one double per count (exact for counts
+// below 2^53). It ranks the live candidates on an exact integer key, and
+// computes the float CoV only for the few whose key lies within a proven
+// band of the minimum.
+//
+// Liveness. take() masks a slot; once over half the slots are masked the
+// live ones are compacted to the front in order, so a window of n
+// candidates pays O(n) in total for its removals. Live candidates always sit
+// in the order a vector that erases each taken id would keep them, and the
+// argmin keeps the FIRST minimum, so the greedy's groups are those of the
+// erase-based greedy byte for byte.
 //
 // Key. With n_j = g_j + c_j the combined counts, T = Σ n_j and m labels,
 // the exact CoV is E = √V / T with V = m·Σ n_j² − T². Per window each
@@ -61,18 +69,31 @@ inline constexpr std::size_t kCovLanes = 8;
 /// Largest label count the keyed scan takes; more labels use the fallback.
 inline constexpr std::size_t kMaxKeyedLabels = 1024;
 
-/// Slot-aligned with a CandidatePool built from the same items: remove()
-/// marks the slot the pool tombstones, and compact() must run exactly when
-/// the pool's remove() reports that it compacted.
+/// The candidate set of one greedy window. Slot numbers are valid until the
+/// next take().
 class CovCandidateLanes {
  public:
   CovCandidateLanes(const data::LabelMatrix& matrix,
-                    std::span<const std::size_t> items);
+                    std::vector<std::size_t> clients);
 
   struct Best {
     std::size_t slot = 0;
     double cov = std::numeric_limits<double>::infinity();
   };
+
+  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+
+  /// Number of live candidates.
+  [[nodiscard]] std::size_t size() const noexcept { return live_; }
+
+  /// Client id held in `slot`.
+  [[nodiscard]] std::size_t client(std::size_t slot) const {
+    return clients_[slot];
+  }
+
+  /// Slot of the pos-th live candidate (the random group opener). O(slots),
+  /// but called once per group — the order of one candidate scan.
+  [[nodiscard]] std::size_t nth_live_slot(std::size_t pos) const;
 
   /// The live slot minimizing the CoV of the group plus that candidate
   /// (first minimum in slot order), and that CoV, bit for bit as
@@ -81,16 +102,16 @@ class CovCandidateLanes {
   [[nodiscard]] Best argmin(std::span<const std::size_t> group_counts,
                             std::size_t group_total);
 
-  /// Masks `slot` out of later scans.
-  void remove(std::size_t slot);
-
-  /// Drops masked slots, keeping the live ones in order — CandidatePool's
-  /// compaction, so slot numbers stay aligned with it.
-  void compact();
+  /// Removes the live candidate in `slot`, compacting once over half the
+  /// slots are masked (which renumbers the slots).
+  void take(std::size_t slot);
 
  private:
   /// value_with's arithmetic for the candidate in `slot` (group in group_).
   [[nodiscard]] double value_at(std::size_t slot, double group_total) const;
+
+  /// Drops masked slots, keeping the live ones in order.
+  void compact();
 
   // One buffer of (labels_ + 4) rows of stride_ doubles, the first row on a
   // 64-byte boundary: the label counts [label][slot], then t_c, Q_c / 2
@@ -112,11 +133,13 @@ class CovCandidateLanes {
 
   std::size_t labels_ = 0;
   std::size_t slots_ = 0;      ///< slots in use, live or masked
+  std::size_t live_ = 0;       ///< live slots
   std::size_t stride_ = 0;     ///< slot capacity, a multiple of kCovLanes
   std::size_t max_total_ = 0;  ///< largest candidate total of the window
   std::size_t key_limit_ = 0;  ///< largest T with m·T² < 2^52
   std::size_t offset_ = 0;     ///< first element of row 0 in buffer_
   double band_scale_ = 0.0;    ///< ((1 + δ)/(1 − δ))², with slack
+  std::vector<std::size_t> clients_;  ///< client id per slot
   std::vector<double> buffer_;
   std::vector<double> group_;  ///< argmin's group counts as doubles
 };

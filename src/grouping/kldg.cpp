@@ -12,10 +12,13 @@
 // once-shuffled pool through the driver CoVG uses (grouping/windowed.hpp);
 // the per-candidate recompute is preserved, so windowed KLDG is O(n w^2 m)
 // instead of O(n^3 m) — still the most expensive method, as in the paper.
+//
+// The candidates are a plain vector that erases each admitted client: one
+// admission's scan recomputes the group distribution for every candidate,
+// O(n·|g|·m) work plus n·m logs, so the O(n) erase is under 1/(|g|·m) of it.
 #include <cmath>
 #include <limits>
 
-#include "grouping/candidate_pool.hpp"
 #include "grouping/windowed.hpp"
 #include "util/stats.hpp"
 
@@ -46,14 +49,12 @@ double group_kld(const data::LabelMatrix& matrix,
 void greedy_over_pool(const data::LabelMatrix& matrix,
                       const GroupingParams& params, runtime::Rng& rng,
                       const std::vector<double>& global_dist,
-                      std::vector<std::size_t> pool_items, Grouping& groups) {
+                      std::vector<std::size_t> pool, Grouping& groups) {
   std::vector<double> scratch;
-  CandidatePool pool(std::move(pool_items));
   while (!pool.empty()) {
-    const std::size_t first_slot =
-        pool.nth_live_slot(rng.next_below(pool.size()));
-    std::vector<std::size_t> group{pool.client(first_slot)};
-    pool.remove(first_slot);
+    const std::size_t first_pos = rng.next_below(pool.size());
+    std::vector<std::size_t> group{pool[first_pos]};
+    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(first_pos));
 
     auto current_kld = [&] {
       scratch.assign(matrix.num_labels(), 0.0);
@@ -69,18 +70,18 @@ void greedy_over_pool(const data::LabelMatrix& matrix,
             group.size() < params.min_group_size) &&
            !pool.empty()) {
       double best = std::numeric_limits<double>::infinity();
-      std::size_t best_slot = 0;
-      pool.for_each([&](std::size_t slot, std::size_t client) {
+      std::size_t best_pos = 0;
+      for (std::size_t pos = 0; pos < pool.size(); ++pos) {
         const double kld =
-            group_kld(matrix, group, client, global_dist, scratch);
+            group_kld(matrix, group, pool[pos], global_dist, scratch);
         if (kld < best) {
           best = kld;
-          best_slot = slot;
+          best_pos = pos;
         }
-      });
+      }
       if (best < current_kld() || group.size() < params.min_group_size) {
-        group.push_back(pool.client(best_slot));
-        pool.remove(best_slot);
+        group.push_back(pool[best_pos]);
+        pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best_pos));
       } else {
         break;
       }

@@ -27,52 +27,6 @@ SamplingMethod sampling_method_from_string(const std::string& name) {
   throw std::invalid_argument("unknown sampling method: " + name);
 }
 
-std::vector<double> sampling_probabilities(SamplingMethod method,
-                                           std::span<const double> group_covs,
-                                           double cov_floor) {
-  GF_CHECK(!group_covs.empty(), "sampling_probabilities: no groups");
-  GF_CHECK(cov_floor > 0.0, "sampling_probabilities: cov_floor must be > 0");
-  const std::size_t n = group_covs.size();
-  std::vector<double> p(n);
-
-  if (method == SamplingMethod::kRandom) {
-    std::fill(p.begin(), p.end(), 1.0 / static_cast<double>(n));
-    return p;
-  }
-
-  // x_g = 1 / max(CoV, floor); the floor keeps perfectly-IID groups finite.
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    GF_CHECK(group_covs[i] >= 0.0, "sampling_probabilities: negative CoV ",
-             group_covs[i], " for group ", i);
-    x[i] = 1.0 / std::max(group_covs[i], cov_floor);
-  }
-
-  double total = 0.0;
-  switch (method) {
-    case SamplingMethod::kRCov:
-      for (std::size_t i = 0; i < n; ++i) total += (p[i] = x[i]);
-      break;
-    case SamplingMethod::kSRCov:
-      for (std::size_t i = 0; i < n; ++i) total += (p[i] = x[i] * x[i]);
-      break;
-    case SamplingMethod::kESRCov: {
-      // Max-shifted exponent: e^{x^2 - max} is exact after normalization
-      // and never overflows.
-      double mx = 0.0;
-      for (std::size_t i = 0; i < n; ++i) mx = std::max(mx, x[i] * x[i]);
-      for (std::size_t i = 0; i < n; ++i)
-        total += (p[i] = std::exp(x[i] * x[i] - mx));
-      break;
-    }
-    case SamplingMethod::kRandom: break;  // handled above
-  }
-  GF_CHECK(total > 0.0 && std::isfinite(total),
-           "sampling_probabilities: degenerate normalizer ", total);
-  for (auto& v : p) v /= total;
-  return p;
-}
-
 namespace {
 
 /// Group-block granularity for the Eq. 34 reductions. Fixed by the group

@@ -22,19 +22,13 @@ enum class SamplingMethod { kRandom, kRCov, kSRCov, kESRCov };
 [[nodiscard]] std::string to_string(SamplingMethod method);
 [[nodiscard]] SamplingMethod sampling_method_from_string(const std::string& name);
 
-/// Computes the probability vector p over groups from their CoV values
-/// (Eq. 34). CoV values are floored at `cov_floor` so 1/CoV stays finite for
-/// perfectly balanced groups; ESRCoV is computed with a max-shifted exponent
-/// so it never overflows. Result sums to 1.
-[[nodiscard]] std::vector<double> sampling_probabilities(
-    SamplingMethod method, std::span<const double> group_covs,
-    double cov_floor = 0.05);
-
-/// Default CoV floor shared by both Eq. 34 producers.
+/// Default CoV floor of Eq. 34.
 inline constexpr double kDefaultCovFloor = 0.05;
 
-/// Streaming Eq. 34 for fleet-scale group counts: writes p into `out`
-/// (reusing its storage across regroupings). The normalizer is a
+/// Eq. 34: writes the probability vector p over groups, computed from their
+/// CoV values, into `out`, resized to the group count (its storage is reused
+/// across regroupings). CoV values are floored at `cov_floor` so 1/CoV stays
+/// finite for perfectly balanced groups. The normalizer is a
 /// fixed-shape blocked tree reduction — per-block Kahan-compensated sums
 /// combined in deterministic block order (the nn::weighted_average_into
 /// pattern), with the block decomposition fixed by the group count alone —
@@ -48,10 +42,10 @@ void sampling_probabilities_into(SamplingMethod method,
                                  double cov_floor = kDefaultCovFloor,
                                  runtime::ThreadPool* pool = nullptr);
 
-/// The PR-2 invariant set, extended to probability vectors: every entry
-/// finite and non-negative, total mass 1 within tolerance. GF_CHECKs (always
-/// on) with `where` naming the entry point; shared by the Eq. 34 producers
-/// and the sample_groups consumer so the contract lives in one place.
+/// The probability-vector invariant: every entry finite and non-negative,
+/// total mass 1 within tolerance. GF_CHECKs (always on) with `where` naming
+/// the entry point; shared by the Eq. 34 producer and the sample_groups
+/// consumer so the contract lives in one place.
 void check_probability_vector(std::span<const double> p, const char* where);
 
 /// Draws `s` distinct group indices with probabilities proportional to `p`

@@ -86,31 +86,4 @@ std::string ascii_table(const std::string& title,
   return out;
 }
 
-std::string ascii_histogram(const std::string& title,
-                            const std::vector<std::string>& labels,
-                            const std::vector<std::size_t>& counts,
-                            int width) {
-  std::string out = "== " + title + " ==\n";
-  const std::size_t n = std::min(labels.size(), counts.size());
-  if (n == 0) return out + "(no data)\n";
-
-  std::size_t label_w = 0, max_count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    label_w = std::max(label_w, labels[i].size());
-    max_count = std::max(max_count, counts[i]);
-  }
-  const double scale =
-      max_count > 0 ? static_cast<double>(width) / static_cast<double>(max_count)
-                    : 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // Any nonzero count gets at least one glyph so rare buckets stay visible.
-    std::size_t bar = static_cast<std::size_t>(
-        std::llround(static_cast<double>(counts[i]) * scale));
-    if (counts[i] > 0 && bar == 0) bar = 1;
-    out += labels[i] + std::string(label_w - labels[i].size(), ' ') + " | " +
-           std::string(bar, '#') + " " + std::to_string(counts[i]) + "\n";
-  }
-  return out;
-}
-
 }  // namespace groupfel::util

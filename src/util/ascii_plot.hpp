@@ -28,14 +28,4 @@ struct Series {
     const std::string& title, const std::vector<std::string>& header,
     const std::vector<std::vector<std::string>>& rows);
 
-/// Renders a count histogram as horizontal bars, one row per bucket:
-///     label | ############################ count
-/// Bars are scaled so the largest count spans `width` glyphs. `labels` and
-/// `counts` must be the same length; callers compact/bin sparse histograms
-/// (e.g. drop zero-count group sizes) before rendering.
-[[nodiscard]] std::string ascii_histogram(const std::string& title,
-                                          const std::vector<std::string>& labels,
-                                          const std::vector<std::size_t>& counts,
-                                          int width = 48);
-
 }  // namespace groupfel::util

@@ -1,6 +1,6 @@
 // Cost-model tests: Eq. 5 accounting, the default RPi-shaped constants'
-// ordering properties, and calibration fits over measured wall-clock data
-// from this repository's own secagg/backdoor implementations.
+// ordering properties, and the calibration measurements of this
+// repository's own secagg and training implementations.
 #include "cost/cost_model.hpp"
 
 #include <gtest/gtest.h>
@@ -86,24 +86,6 @@ TEST(Calibration, SecAggMeasurementGrowsSuperlinearly) {
   const auto points = measure_secagg(sizes, 64);
   ASSERT_EQ(points.size(), 3u);
   EXPECT_GT(points[2].seconds, points[0].seconds);
-}
-
-TEST(Calibration, FitGroupOpRecoversQuadratic) {
-  std::vector<MeasurementPoint> pts;
-  for (double s = 1; s <= 10; ++s)
-    pts.push_back({s, 0.5 * s * s + 2.0 * s + 3.0});
-  const QuadraticCost fit = fit_group_op(pts);
-  EXPECT_NEAR(fit.a, 0.5, 1e-6);
-  EXPECT_NEAR(fit.b, 2.0, 1e-5);
-  EXPECT_NEAR(fit.c, 3.0, 1e-4);
-}
-
-TEST(Calibration, FitTrainingRecoversLineWithScale) {
-  std::vector<MeasurementPoint> pts;
-  for (double n = 10; n <= 100; n += 10) pts.push_back({n, 0.01 * n});
-  const LinearCost fit = fit_training(pts, /*scale=*/100.0);
-  EXPECT_NEAR(fit.h, 1.0, 1e-9);
-  EXPECT_NEAR(fit.h0, 0.0, 1e-7);
 }
 
 TEST(Calibration, TrainingMeasurementGrowsWithData) {

@@ -92,22 +92,6 @@ TEST(IncrementalCov, ValueWithDoesNotMutate) {
   EXPECT_EQ(inc.total(), 5u);
 }
 
-TEST(IncrementalCov, RemoveUndoesAdd) {
-  const data::LabelMatrix m({{5, 0}, {2, 3}}, 2);
-  IncrementalCov inc(2);
-  inc.add(m.row(0));
-  const double solo = inc.value();
-  inc.add(m.row(1));
-  inc.remove(m.row(1));
-  EXPECT_DOUBLE_EQ(inc.value(), solo);
-}
-
-TEST(IncrementalCov, RemoveUnderflowThrows) {
-  IncrementalCov inc(2);
-  const std::vector<data::LabelMatrix::Count> row{1, 1};
-  EXPECT_THROW(inc.remove(row), std::logic_error);
-}
-
 TEST(IncrementalCov, SizeMismatchThrows) {
   IncrementalCov inc(2);
   const std::vector<data::LabelMatrix::Count> row{1, 1, 1};

@@ -19,7 +19,6 @@
 #include <sys/resource.h>
 #endif
 
-#include "core/edge_server.hpp"
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
 #include "data/client_data.hpp"
@@ -471,20 +470,6 @@ TEST(LazyTraining, HundredThousandClientsUnderTenthOfNaiveMemory) {
     EXPECT_LT(peak * 10, naive_bytes)
         << "peak RSS " << peak << " B vs naive " << naive_bytes << " B";
   }
-}
-
-TEST(GroupSizeHistogram, CountsGroupsBySize) {
-  std::vector<core::FormedGroup> groups(4);
-  groups[0].clients = {1, 2, 3};
-  groups[1].clients = {4, 5};
-  groups[2].clients = {6, 7, 8};
-  groups[3].clients = {9, 10, 11, 12, 13};
-  const std::vector<std::size_t> hist = core::group_size_histogram(groups);
-  ASSERT_EQ(hist.size(), 6u);
-  EXPECT_EQ(hist[0], 0u);
-  EXPECT_EQ(hist[2], 1u);
-  EXPECT_EQ(hist[3], 2u);
-  EXPECT_EQ(hist[5], 1u);
 }
 
 }  // namespace

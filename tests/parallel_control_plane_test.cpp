@@ -2,17 +2,17 @@
 //
 // The contract under test (docs/DEVELOPMENT.md "Parallel control plane"):
 // each stage — descriptor partition, label-matrix build, parallel-windows
-// greedy, CDG bucketing, Eq. 34 sampling reduction, size histogram — must
-// produce BIT-identical output for any ThreadPool size, including none.
+// greedy, CDG bucketing, Eq. 34 sampling reduction — must produce
+// BIT-identical output for any ThreadPool size, including none.
 // Randomness is keyed by logical index (client / window), never thread
 // identity, and float reductions have a fixed block shape, so pools of
 // 0 (nullptr), 2, and 24 threads are interchangeable.
 //
-// Also gated here: the tombstone CandidatePool refactor of the CoVG/KLDG
-// greedy must stay byte-identical to the historical erase-based pool
-// (reference implementations embedded below), and the per-window RNG
-// streams of the windowed greedy must be independent of window execution
-// order.
+// Also gated here: the CoVG greedy, whose candidate lanes mask taken slots
+// and compact them in batches, must stay byte-identical to the erase-based
+// greedy (reference implementations embedded below, KLDG's too), and the
+// per-window RNG streams of the windowed greedy must be independent of
+// window execution order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,11 +26,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/edge_server.hpp"
 #include "data/client_data.hpp"
 #include "data/client_descriptor.hpp"
 #include "data/label_matrix.hpp"
-#include "grouping/candidate_pool.hpp"
 #include "grouping/cov_scan.hpp"
 #include "grouping/grouping.hpp"
 #include "runtime/thread_pool.hpp"
@@ -316,7 +314,7 @@ TEST(ParallelWindows, StreamsIndependentOfExecutionOrder) {
   EXPECT_EQ(expected, assembled);
 }
 
-// ---- Stage 4: Eq. 34 sampling + histogram ---------------------------------
+// ---- Stage 4: Eq. 34 sampling ------------------------------------------
 
 TEST(ParallelSampling, ProbabilitiesBitIdenticalAcrossPools) {
   // 5000 groups = 3 blocks of 2048: the blocked Kahan tree reduction runs
@@ -342,25 +340,14 @@ TEST(ParallelSampling, ProbabilitiesBitIdenticalAcrossPools) {
   }
 }
 
-TEST(ParallelSampling, HistogramBitIdenticalAcrossPools) {
-  // 9000 groups = 3 blocks of 4096.
-  runtime::Rng rng(43);
-  std::vector<core::FormedGroup> groups(9000);
-  for (auto& g : groups)
-    g.clients.resize(1 + rng.next_below(37));
-  const std::vector<std::size_t> serial = core::group_size_histogram(groups);
-  for_each_pool([&](runtime::ThreadPool* pool) {
-    EXPECT_EQ(serial, core::group_size_histogram(groups, pool));
-  });
-}
-
-// ---- Tombstone pool vs the historical erase-based greedy ------------------
+// ---- Production greedy vs the erase-based greedy ---------------------------
 //
-// Reference implementations: verbatim copies of the pre-tombstone greedy
-// (O(n) vector::erase per admission, one scalar CoV per candidate). The
-// production greedy must stay BYTE-identical to these — same candidate
-// visit order, same first-minimum tie-breaking, and for CoVG the same bits
-// per candidate from its lane scan — in the classic and windowed modes.
+// Reference implementations: the erase-based greedy (O(n) vector::erase per
+// admission, one scalar CoV per candidate). The production greedy must stay
+// BYTE-identical to these — same candidate visit order, same first-minimum
+// tie-breaking, and for CoVG, whose lanes take slots by tombstoning and
+// compaction, the same bits per candidate from its lane scan — in the
+// classic and windowed modes.
 
 /// Copy of the scalar IncrementalCov (add, value, value_with verbatim), so
 /// the CoV oracle does not share code with src/.
@@ -496,8 +483,11 @@ data::LabelMatrix tie_matrix(std::size_t clients, std::uint64_t seed) {
 // The candidate scan ranks on an exact integer key and re-scores only a
 // band around the minimum; its slot and CoV bits must equal the scalar
 // first-minimum scan over value_with on any group state, including exact
-// ties, exact zeros, a group with total 0 (tie_matrix's zero rows), masked
+// ties, exact zeros, a group with total 0 (tie_matrix's zero rows), taken
 // and compacted slots, and the fallback for counts near 2^32 (wide_matrix).
+// The lanes own the candidate set, so a vector that erases each taken id
+// mirrors them: after every take, across several compactions, the live
+// slots must hold the mirror's ids in the mirror's order.
 TEST(CovScan, ArgminMatchesScalarFirstMinimum) {
   const std::vector<std::pair<std::string, data::LabelMatrix>> matrices = {
       {"dirichlet", make_matrix(300, 7)},
@@ -509,19 +499,23 @@ TEST(CovScan, ArgminMatchesScalarFirstMinimum) {
     runtime::Rng rng(21);
     const std::size_t n = matrix.num_clients();
     for (std::size_t trial = 0; trial < 60; ++trial) {
-      std::vector<std::size_t> items(n);
-      std::iota(items.begin(), items.end(), std::size_t{0});
-      rng.shuffle(items);
-      items.resize(1 + rng.next_below(n));
-      grouping::CovCandidateLanes lanes(matrix, items);
-      grouping::CandidatePool pool(items);
-      // Mask a random share of the slots, compacting where the pool does.
-      const std::size_t removals = rng.next_below(pool.size());
-      for (std::size_t r = 0; r < removals; ++r) {
-        const std::size_t slot =
-            pool.nth_live_slot(rng.next_below(pool.size()));
-        lanes.remove(slot);
-        if (pool.remove(slot)) lanes.compact();
+      std::vector<std::size_t> mirror(n);
+      std::iota(mirror.begin(), mirror.end(), std::size_t{0});
+      rng.shuffle(mirror);
+      mirror.resize(1 + rng.next_below(n));
+      grouping::CovCandidateLanes lanes(matrix, mirror);
+      // Take a random share of the candidates, as the greedy's opener does.
+      const std::size_t takes = rng.next_below(mirror.size());
+      for (std::size_t r = 0; r < takes; ++r) {
+        const std::size_t pos = rng.next_below(lanes.size());
+        const std::size_t slot = lanes.nth_live_slot(pos);
+        ASSERT_EQ(lanes.client(slot), mirror[pos]) << name << " trial " << trial;
+        lanes.take(slot);
+        mirror.erase(mirror.begin() + static_cast<std::ptrdiff_t>(pos));
+        ASSERT_EQ(lanes.size(), mirror.size());
+        for (std::size_t p = 0; p < mirror.size(); ++p)
+          ASSERT_EQ(lanes.client(lanes.nth_live_slot(p)), mirror[p])
+              << name << " trial " << trial << " take " << r << " pos " << p;
       }
       // A group of 1..40 random rows.
       grouping::IncrementalCov group(matrix.num_labels());
@@ -530,17 +524,18 @@ TEST(CovScan, ArgminMatchesScalarFirstMinimum) {
         group.add(matrix.row(rng.next_below(n)));
 
       double want_cov = std::numeric_limits<double>::infinity();
-      std::size_t want_slot = 0;
-      pool.for_each([&](std::size_t slot, std::size_t client) {
-        const double c = group.value_with(matrix.row(client));
+      std::size_t want_pos = 0;
+      for (std::size_t pos = 0; pos < mirror.size(); ++pos) {
+        const double c = group.value_with(matrix.row(mirror[pos]));
         if (c < want_cov) {
           want_cov = c;
-          want_slot = slot;
+          want_pos = pos;
         }
-      });
+      }
       const grouping::CovCandidateLanes::Best got =
           lanes.argmin(group.counts(), group.total());
-      ASSERT_EQ(got.slot, want_slot) << name << " trial " << trial;
+      ASSERT_EQ(got.slot, lanes.nth_live_slot(want_pos))
+          << name << " trial " << trial;
       ASSERT_EQ(std::bit_cast<std::uint64_t>(got.cov),
                 std::bit_cast<std::uint64_t>(want_cov))
           << name << " trial " << trial << ": " << got.cov << " vs "

@@ -182,25 +182,5 @@ TEST(AsciiTable, AlignsColumns) {
   EXPECT_NE(table.find("| cccc |"), std::string::npos);
 }
 
-TEST(AsciiHistogram, ScalesBarsToWidth) {
-  const std::string hist =
-      ascii_histogram("H", {"a", "bb"}, {2, 4}, 8);
-  EXPECT_NE(hist.find("H"), std::string::npos);
-  // Largest count spans the full width; half the count spans half of it.
-  EXPECT_NE(hist.find("bb | ######## 4"), std::string::npos);
-  EXPECT_NE(hist.find("a  | #### 2"), std::string::npos);
-}
-
-TEST(AsciiHistogram, NonzeroCountAlwaysVisible) {
-  const std::string hist =
-      ascii_histogram("H", {"rare", "common"}, {1, 1000}, 10);
-  // 1/1000 of 10 glyphs rounds to 0; the bar is clamped to one glyph.
-  EXPECT_NE(hist.find("rare   | # 1"), std::string::npos);
-}
-
-TEST(AsciiHistogram, HandlesEmpty) {
-  EXPECT_NE(ascii_histogram("E", {}, {}).find("no data"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace groupfel::util
